@@ -7,18 +7,14 @@ more than ``--factor`` (default 2x — loose enough for CI-runner noise,
 tight enough to catch an accidental return to per-pair row assembly).
 Also proves the process pool end to end: ``solve_many`` with workers
 must reproduce the serial costs bit for bit, and a deliberately hung
-task must come back ``timed_out`` with its worker killed.
+task submitted to a resident ``WorkerPool`` must come back ``timed_out``
+with its worker killed.
 
-Two sweep-engine gates ride along (see docs/PERFORMANCE.md):
-
-* **warm vs cold** — a 16-point fig8-style bound sweep at 64 sinks must
-  run at least ``--sweep-factor`` (default 2x) faster warm-started than
-  cold, with bit-identical canonical per-point costs; fresh timings are
-  written to ``BENCH_sweep.json`` at the repo root.
-* **racing equivalence** — ``race="auto"`` must return the same
-  canonical cost as the sequential solve and record every backend,
-  cancelled losers included (the tree backend races too and must show
-  up in the attempt log).
+A sweep-engine gate rides along (see docs/PERFORMANCE.md): a 16-point
+fig8-style bound sweep at 64 sinks must run at least ``--sweep-factor``
+(default 2x) faster warm-started than cold, with bit-identical canonical
+per-point costs; fresh timings are written to ``BENCH_sweep.json`` at
+the repo root.
 
 A tree-backend gate rides along as well: at ``--tree-sinks`` (default
 1024) the structure-aware ``backend="tree"`` solve must beat the best
@@ -43,7 +39,7 @@ from pathlib import Path
 from repro.data import load_benchmark
 from repro.ebf import DelayBounds, canonical_cost, solve_lubt, solve_sweep
 from repro.geometry import manhattan_radius_from
-from repro.perf import SolveTask, run_many, solve_many
+from repro.perf import SolveTask, WorkerPool, solve_many
 from repro.topology import nearest_neighbor_topology
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -113,13 +109,14 @@ def check_pool(sizes, jobs: int) -> list[str]:
           + ("FAILED" if failures else f"identical on sizes {list(sizes)}"))
 
     t0 = time.perf_counter()
-    outcomes = run_many(time.sleep, [(60,)], jobs=jobs, timeout=1.0)
+    with WorkerPool(jobs) as pool:
+        outcome = pool.submit(time.sleep, (60,), timeout=1.0)
     elapsed = time.perf_counter() - t0
-    if not outcomes[0].timed_out:
+    if not outcome.timed_out:
         failures.append("hung task did not report timed_out")
     if elapsed > 10.0:
         failures.append(f"timeout kill took {elapsed:.1f}s — worker not killed?")
-    print(f"timeout kill: {'FAILED' if not outcomes[0].timed_out else 'ok'} "
+    print(f"timeout kill: {'FAILED' if not outcome.timed_out else 'ok'} "
           f"({elapsed:.2f}s for a 60s task under a 1s limit)")
     return failures
 
@@ -213,49 +210,6 @@ def check_sweep(
     return failures
 
 
-def check_race() -> list[str]:
-    """Racing equivalence: ``race="auto"`` must return the sequential
-    answer (canonically) and record every chain backend per LP — the
-    tree backend included."""
-    failures = []
-    topo, _, bounds_list = _sweep_instance(32)
-    bounds = bounds_list[0]
-    seq = solve_lubt(topo, bounds, check_bounds=False)
-    raced = solve_lubt(topo, bounds, check_bounds=False, race="auto")
-    if canonical_cost(seq.cost) != canonical_cost(raced.cost):
-        failures.append(
-            f"raced cost {raced.cost!r} != sequential {seq.cost!r} "
-            "(canonical)"
-        )
-    if not raced.solve_reports:
-        failures.append("race='auto' produced no solve reports")
-    for rep in raced.solve_reports:
-        if len(rep.attempts) < 2:
-            failures.append(
-                "race report is missing the losing backend: "
-                + ", ".join(a.backend for a in rep.attempts)
-            )
-            break
-    if raced.solve_reports and not any(
-        a.backend == "tree"
-        for rep in raced.solve_reports
-        for a in rep.attempts
-    ):
-        failures.append("tree backend never appeared in race attempts")
-    cancelled = sum(
-        1
-        for rep in raced.solve_reports
-        for a in rep.attempts
-        if a.outcome == "cancelled"
-    )
-    print(
-        f"racing equivalence: {len(raced.solve_reports)} LP(s), "
-        f"{cancelled} cancelled loser(s), costs "
-        + ("match" if not failures else "DIFFER")
-    )
-    return failures
-
-
 def check_tree(sinks: int, factor: float) -> list[str]:
     """Tree-backend gate: at ``sinks`` the structure-aware solve must
     beat the best generic backend by ``factor`` with a canonically
@@ -312,7 +266,7 @@ def main(argv=None) -> int:
                     default=REPO_ROOT / "BENCH_sweep.json",
                     help="where to write fresh sweep timings")
     ap.add_argument("--skip-sweep", action="store_true",
-                    help="skip the warm-vs-cold sweep and racing gates")
+                    help="skip the warm-vs-cold sweep gate")
     ap.add_argument("--tree-sinks", type=int, default=1024,
                     help="sink count for the tree-backend gate "
                     "(default 1024)")
@@ -328,7 +282,6 @@ def main(argv=None) -> int:
     failures += check_pool(sizes, args.jobs)
     if not args.skip_sweep:
         failures += check_sweep(args.sweep_factor, args.repeats, args.sweep_out)
-        failures += check_race()
     if not args.skip_tree:
         failures += check_tree(args.tree_sinks, args.tree_factor)
 

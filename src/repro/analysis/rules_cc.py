@@ -127,7 +127,7 @@ _BLOCKING_DOTTED = {
 #: Blocking no matter the receiver: raw socket/file-descriptor ops.
 _BLOCKING_ATTRS = {"sendall", "recv", "recv_into", "accept", "fsync"}
 #: Blocking when the receiver looks like a pool/thread/process handle.
-_POOL_ATTRS = {"close", "join", "submit", "run_many", "map_many", "shutdown"}
+_POOL_ATTRS = {"close", "join", "submit", "map_many", "shutdown"}
 _POOLISH = re.compile(r"pool|thread|proc|worker", re.IGNORECASE)
 
 
@@ -138,7 +138,7 @@ def _blocking_reason(node: ast.Call) -> str | None:
         if dotted in _BLOCKING_DOTTED:
             return f"{dotted}()"
         tail = dotted.rsplit(".", 1)[-1]
-        if tail.startswith("solve_") or tail in ("run_many", "map_many"):
+        if tail.startswith("solve_") or tail == "map_many":
             return f"{tail}() (solver entry point)"
         if tail == "WorkerPool":
             return "WorkerPool() construction (forks workers)"

@@ -133,7 +133,6 @@ def solve_lubt(
     lp_timeout: float | None = None,
     on_infeasible: str = "raise",
     warm=None,
-    race: str | None = None,
     breakers=None,
     solvers=None,
 ) -> LubtSolution:
@@ -196,13 +195,6 @@ def solve_lubt(
         delay bounds, so a carried row is always a valid (if possibly
         slack) constraint.  Ignored in full mode (all rows are present
         anyway).
-    race:
-        ``"auto"`` races the backend cascade concurrently on every LP —
-        first definitive answer wins, losers are cancelled and recorded
-        (see :func:`repro.resilience.solve_lp_resilient`).  Implies
-        ``resilient=True`` (racing lives in the resilient pipeline);
-        every race's :class:`~repro.resilience.SolveReport` lands in
-        ``solution.solve_reports``, cancelled losers included.
     breakers:
         A :class:`~repro.resilience.BreakerRegistry` shared across
         solves (resilient mode only).  Backends whose circuit is open
@@ -217,10 +209,6 @@ def solve_lubt(
         only) — the fault-injection seam chaos tests use to force
         server-side backend failures.
     """
-    if race not in (None, "off", "auto"):
-        raise ValueError(f"unknown race mode {race!r}")
-    if race == "auto":
-        resilient = True
     if on_infeasible not in ("raise", "diagnose", "relax"):
         raise ValueError(f"unknown on_infeasible {on_infeasible!r}")
     if mode not in ("lazy", "full"):
@@ -249,7 +237,6 @@ def solve_lubt(
         resilient=resilient,
         lp_timeout=lp_timeout,
         warm=warm,
-        race=race,
         breakers=breakers,
         solvers=solvers,
     )
@@ -286,7 +273,7 @@ def solve_lubt(
 
             report = solve_lp_resilient(
                 lp, backend_chain(lp, resolved), timeout=lp_timeout,
-                race=race, breakers=breakers, solvers=solvers,
+                breakers=breakers, solvers=solvers,
             )
             reports.append(report)
             return report.result

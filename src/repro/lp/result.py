@@ -14,6 +14,8 @@ class LpStatus(Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ERROR = "error"
+    #: The caller's ``time_limit`` ran out before the backend finished.
+    TIME_LIMIT = "time-limit"
 
 
 class InfeasibleError(RuntimeError):

@@ -12,15 +12,39 @@ from repro.lp.result import LpResult, LpStatus
 
 _STATUS_MAP = {
     0: LpStatus.OPTIMAL,
-    1: LpStatus.ERROR,  # iteration limit
+    1: LpStatus.ERROR,  # iteration limit (or time limit, see highs_status)
     2: LpStatus.INFEASIBLE,
     3: LpStatus.UNBOUNDED,
     4: LpStatus.ERROR,
 }
 
 
-def solve_scipy(lp: LinearProgram) -> LpResult:
-    """Solve with ``scipy.optimize.linprog(method='highs')``."""
+def highs_options(time_limit: float | None) -> dict[str, float] | None:
+    """``linprog`` options for a HiGHS run bounded by ``time_limit``
+    seconds (``None`` = unbounded, HiGHS defaults untouched)."""
+    return None if time_limit is None else {"time_limit": time_limit}
+
+
+def highs_status(res: Any) -> LpStatus:
+    """Map a ``linprog(method="highs")`` result to an :class:`LpStatus`.
+
+    HiGHS reports both limits as status 1; a reached ``time_limit`` is
+    told apart by its message and becomes :attr:`LpStatus.TIME_LIMIT`.
+    """
+    status = _STATUS_MAP.get(int(res.status), LpStatus.ERROR)
+    if res.status == 1 and "time limit" in str(res.message).lower():
+        return LpStatus.TIME_LIMIT
+    return status
+
+
+def solve_scipy(
+    lp: LinearProgram, time_limit: float | None = None
+) -> LpResult:
+    """Solve with ``scipy.optimize.linprog(method='highs')``.
+
+    ``time_limit`` (seconds) is handed to HiGHS, which stops on its own
+    and reports :attr:`LpStatus.TIME_LIMIT`.
+    """
     c, a_ub, b_ub, a_eq, b_eq, bounds = lp.to_arrays()
     sign = 1.0 if lp.minimize else -1.0
     res = linprog(
@@ -31,8 +55,9 @@ def solve_scipy(lp: LinearProgram) -> LpResult:
         b_eq=b_eq,
         bounds=bounds,
         method="highs",
+        options=highs_options(time_limit),
     )
-    status = _STATUS_MAP.get(res.status, LpStatus.ERROR)
+    status = highs_status(res)
     iterations = int(getattr(res, "nit", 0) or 0)
     message = str(getattr(res, "message", "") or "").strip() or None
     if status is not LpStatus.OPTIMAL or res.x is None:

@@ -14,6 +14,7 @@ artificial variables; phase 1 minimizes their sum.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -23,15 +24,28 @@ from repro.lp.result import BackendCapabilityError, LpResult, LpStatus
 _TOL = 1e-9
 _FEAS_TOL = 1e-7
 
+#: Pivots between two looks at the clock when a ``time_limit`` is set.
+_DEADLINE_EVERY = 32
+
 _STATUS_NOTES = {
     LpStatus.ERROR: "simplex hit the iteration limit or a phase-1 failure",
     LpStatus.INFEASIBLE: "phase 1 terminated with positive artificial sum",
     LpStatus.UNBOUNDED: "entering column has no positive ratio",
+    LpStatus.TIME_LIMIT: "simplex ran out of its time limit",
 }
 
 
-def solve_simplex(lp: LinearProgram, max_iterations: int = 200_000) -> LpResult:
-    """Solve ``lp`` with the two-phase tableau simplex."""
+def solve_simplex(
+    lp: LinearProgram,
+    max_iterations: int = 200_000,
+    time_limit: float | None = None,
+) -> LpResult:
+    """Solve ``lp`` with the two-phase tableau simplex.
+
+    With ``time_limit`` (seconds) the pivot loop looks at the clock every
+    few pivots and returns :attr:`LpStatus.TIME_LIMIT` once it is spent.
+    """
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     n = lp.num_variables
     lb = lp.lower_bounds.copy()
     ub = lp.upper_bounds.copy()
@@ -67,7 +81,9 @@ def solve_simplex(lp: LinearProgram, max_iterations: int = 200_000) -> LpResult:
     if not lp.minimize:
         cost = -cost
 
-    x_free, status, iters = _two_phase(rows, cost, n_free, max_iterations)
+    x_free, status, iters = _two_phase(
+        rows, cost, n_free, max_iterations, deadline
+    )
     if status is not LpStatus.OPTIMAL:
         return LpResult(
             status, None, None, iters, "simplex",
@@ -85,6 +101,7 @@ def _two_phase(
     cost: np.ndarray,
     n: int,
     max_iterations: int,
+    deadline: float | None = None,
 ) -> tuple[np.ndarray, LpStatus, int]:
     """Core: min cost'x s.t. rows, x >= 0."""
     m = len(rows)
@@ -143,8 +160,12 @@ def _two_phase(
     if art_cols:
         phase1_cost = np.zeros(total)
         phase1_cost[art_cols] = 1.0
-        status, it = _iterate(tableau, basis, phase1_cost, max_iterations)
+        status, it = _iterate(
+            tableau, basis, phase1_cost, max_iterations, deadline
+        )
         iters += it
+        if status is LpStatus.TIME_LIMIT:
+            return np.zeros(n), status, iters
         if status is not LpStatus.OPTIMAL:
             return np.zeros(n), LpStatus.ERROR, iters
         art_set = set(art_cols)
@@ -159,7 +180,7 @@ def _two_phase(
 
     phase2_cost = np.zeros(total)
     phase2_cost[:n] = cost
-    status, it = _iterate(tableau, basis, phase2_cost, max_iterations)
+    status, it = _iterate(tableau, basis, phase2_cost, max_iterations, deadline)
     iters += it
     if status is not LpStatus.OPTIMAL:
         return np.zeros(n), status, iters
@@ -175,11 +196,18 @@ def _iterate(
     basis: np.ndarray,
     cost: np.ndarray,
     max_iterations: int,
+    deadline: float | None = None,
 ) -> tuple[LpStatus, int]:
     """Primal simplex iterations with Bland's rule; mutates in place."""
     m, width = tableau.shape
     total = width - 1
     for it in range(max_iterations):
+        if (
+            deadline is not None
+            and it % _DEADLINE_EVERY == 0
+            and time.perf_counter() >= deadline
+        ):
+            return LpStatus.TIME_LIMIT, it
         # Reduced costs: c_j - c_B' B^-1 A_j, computed from the tableau.
         cb = cost[basis]
         reduced = cost[:total] - cb @ tableau[:, :total]

@@ -42,7 +42,7 @@ but needs the tree facts the flat rows no longer expose.
 :class:`TreeLpMeta`; any LP without the stamp — or with rows appended
 outside the tree-aware builders (watermarked by ``covered_rows``) — is
 declined with :class:`BackendCapabilityError`, which the ``"auto"``
-dispatch, the resilient cascade, and the race path all treat as a clean
+dispatch and the resilient cascade both treat as a clean
 fall-through to a generic backend.  Elastic infeasibility-diagnosis LPs
 carry no stamp, so infeasible instances route through
 ``diagnose_infeasibility`` exactly as before.
@@ -59,19 +59,12 @@ from scipy.optimize import linprog
 
 from repro.lp.model import _RANGE_COLLAPSE_RTOL, LinearProgram
 from repro.lp.result import BackendCapabilityError, LpResult, LpStatus
+from repro.lp.scipy_backend import highs_options, highs_status
 
 #: Mirror of ``add_delay_rows``: a sink window inverted by more than this
 #: produces an infeasibility certificate (the generic builder emits a
 #: ``delay{i}.impossible`` row; we return INFEASIBLE directly).
 _IMPOSSIBLE_TOL = 1e-12
-
-_STATUS_MAP = {
-    0: LpStatus.OPTIMAL,
-    1: LpStatus.ERROR,  # iteration limit
-    2: LpStatus.INFEASIBLE,
-    3: LpStatus.UNBOUNDED,
-    4: LpStatus.ERROR,
-}
 
 
 @dataclass
@@ -162,7 +155,7 @@ def _bfs_order(parents: np.ndarray) -> np.ndarray:
     return order
 
 
-def solve_tree(lp: LinearProgram) -> LpResult:
+def solve_tree(lp: LinearProgram, time_limit: float | None = None) -> LpResult:
     """Solve a tree-stamped EBF model via the collapsed node-potential LP.
 
     Raises :class:`BackendCapabilityError` for models without (current)
@@ -171,6 +164,8 @@ def solve_tree(lp: LinearProgram) -> LpResult:
     counters (``dual_iterations`` / ``dp_passes`` /
     ``restricted_master_rounds``).  Row duals are not produced (the
     collapsed model's rows do not map 1:1 onto the flat model's).
+    ``time_limit`` (seconds) bounds the HiGHS solve of the collapsed
+    model, as in :func:`~repro.lp.scipy_backend.solve_scipy`.
     """
     meta = lp.tree_meta
     if meta is None:
@@ -383,10 +378,11 @@ def solve_tree(lp: LinearProgram) -> LpResult:
         b_ub=b_ub,
         bounds=var_bounds,
         method="highs",
+        options=highs_options(time_limit),
     )
     iterations = int(getattr(res, "nit", 0) or 0)
     message = str(getattr(res, "message", "") or "").strip() or None
-    status = _STATUS_MAP.get(int(res.status), LpStatus.ERROR)
+    status = highs_status(res)
     if status is not LpStatus.OPTIMAL or res.x is None:
         return LpResult(
             status,

@@ -1,22 +1,24 @@
 """Performance layer: process-pool batch solving with hard timeouts.
 
 The experiment tables solve dozens of independent LUBT instances; this
-package runs them across worker *processes* (``--jobs N`` on the CLI).
-Unlike the thread-based timeouts in :mod:`repro.resilience`, a timed-out
-worker here is **killed**, not abandoned — a pathological LP cannot leave
-a runaway solve burning CPU (the ROADMAP "process-level solve timeouts"
-item).
+package runs them across resident worker *processes* (``--jobs N`` on
+the CLI).  The LP backends stop at their own cooperative deadlines
+(:mod:`repro.resilience`); the pool adds the hard limit on top — a
+timed-out worker here is **killed** and replaced, so a pathological task
+cannot leave a runaway process burning CPU.  One dispatch engine serves
+every batch: a :class:`WorkerPool` driven by a :class:`BatchScheduler`.
 
-* :func:`run_many` — generic ordered fan-out of a picklable function
+* :func:`map_many` — generic ordered fan-out of a picklable function
   over argument tuples with per-task kill-on-timeout;
 * :func:`solve_many` — batch :func:`repro.ebf.solve_lubt` over
   :class:`SolveTask` instances;
 * :func:`solve_sweep_sharded` — warm-started bound sweep chunked into
   contiguous shards, one :class:`~repro.ebf.WarmStart` per worker;
 * :class:`WorkerPool` — *resident* workers reused across submissions
-  (the :mod:`repro.server` dispatch path), same kill/crash guarantees,
-  plus a consecutive-crash cap (:class:`PoolCrashLoopError`) so a
-  poison task cannot respawn workers forever;
+  (also the :mod:`repro.server` dispatch path) with kill-on-timeout,
+  crash replacement and a consecutive-crash cap
+  (:class:`PoolCrashLoopError`) so a poison task cannot respawn workers
+  forever;
 * :class:`SolveJournal` — crash-safe JSONL checkpoint of completed
   solves keyed by canonical instance key; ``solve_many`` /
   ``solve_sweep_sharded`` take ``journal=`` to resume a killed batch;
@@ -38,13 +40,12 @@ from repro.perf.pool import (
     TaskError,
     TaskOutcome,
     WorkerPool,
-    map_many,
-    run_many,
 )
 from repro.perf.scheduler import (
     DEFAULT_CHUNK_SECONDS,
     DEFAULT_MAX_CHUNK,
     BatchScheduler,
+    map_many,
 )
 from repro.perf.journal import (
     JournalError,
@@ -81,7 +82,6 @@ __all__ = [
     "TaskOutcome",
     "WorkerPool",
     "map_many",
-    "run_many",
     "SolveTask",
     "solution_from_record",
     "solution_to_record",

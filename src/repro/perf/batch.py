@@ -1,11 +1,10 @@
-"""Batch LUBT solving on top of :mod:`repro.perf.pool`.
+"""Batch LUBT solving on top of :mod:`repro.perf.scheduler`.
 
 A :class:`SolveTask` is one independent ``solve_lubt`` call (topology,
 bounds, keyword options); :func:`solve_many` fans a list of them across
-worker processes.  Task objects travel to workers via pickling under the
-spawn start method (fork inherits them for free), so topologies and
-bounds must stay picklable — both are plain dataclass-style containers
-and are.
+resident worker processes.  Tasks travel to the workers by pipe, so
+topologies and bounds must stay picklable — both are plain
+dataclass-style containers and are.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.perf.journal import (
     solution_from_record,
     solution_to_record,
 )
-from repro.perf.pool import TaskOutcome, WorkerPool, map_many
+from repro.perf.pool import TaskOutcome, WorkerPool
 from repro.perf.scheduler import (
     DEFAULT_CHUNK_SECONDS,
     DEFAULT_MAX_CHUNK,
@@ -46,11 +45,6 @@ def _task_key(topo: Any, bounds: Any, options: Mapping[str, Any]) -> str:
     from repro.server.keys import instance_key
 
     return instance_key(topo, bounds, dict(options))
-
-
-def _waves(items: Sequence[Any], size: int) -> list[list[Any]]:
-    """Split ``items`` into consecutive waves of at most ``size``."""
-    return [list(items[a:a + size]) for a in range(0, len(items), size)]
 
 
 def solve_many(
@@ -206,7 +200,8 @@ def solve_sweep_sharded(
     journal: SolveJournal | None = None,
     **options: Any,
 ) -> list[Any]:
-    """Warm-started sweep over one topology, sharded across processes.
+    """Warm-started sweep over one topology, sharded across resident
+    worker processes.
 
     Unlike :func:`solve_many` — which ships every point to whichever
     worker is free — this chunks the sweep into ``chunks`` (default:
@@ -226,61 +221,59 @@ def solve_sweep_sharded(
 
     With a ``journal``, points whose canonical instance key is already
     recorded are replayed; only the missing points are swept (as their
-    own contiguous sub-sweep), with each shard's records fsync'd as it
-    completes.  Resumed sweeps therefore re-chunk the *remaining*
-    points — same caveat as above: chunking-invariant at the
-    :func:`repro.ebf.canonical_cost` level, where every experiment
-    table reports.
+    own contiguous sub-sweep), with each shard's records fsync'd the
+    moment that shard completes — no barrier across shards.  Resumed
+    sweeps therefore re-chunk the *remaining* points — same caveat as
+    above: chunking-invariant at the :func:`repro.ebf.canonical_cost`
+    level, where every experiment table reports.
     """
     bounds_list = list(bounds_list)
-    if journal is None:
-        spans = sweep_chunks(
-            len(bounds_list), chunks if chunks else max(1, jobs)
-        )
-        shard_results = map_many(
-            _solve_sweep_chunk,
-            [(topo, bounds_list[a:b], options) for a, b in spans],
-            jobs=jobs,
-            timeout=timeout,
-            start_method=start_method,
-        )
-        return [sol for shard in shard_results for sol in shard]
-
-    keys = [_task_key(topo, b, options) for b in bounds_list]
-    done = journal.load()
     results: list[Any] = [None] * len(bounds_list)
-    missing: list[int] = []
-    for i, b in enumerate(bounds_list):
-        rec = done.get(keys[i])
-        if rec is not None:
-            results[i] = solution_from_record(rec, topo, b)
-            journal.replayed += 1
-        else:
-            missing.append(i)
-    if missing:
-        spans = sweep_chunks(
-            len(missing), chunks if chunks else max(1, jobs)
-        )
-        # One wave of shards at a time so every completed shard is
-        # durable before the next wave starts (a SIGKILL costs at most
-        # the in-flight wave).
-        for wave in _waves(spans, max(1, jobs)):
-            shard_results = map_many(
-                _solve_sweep_chunk,
-                [
-                    (topo, [bounds_list[i] for i in missing[a:b]], options)
-                    for a, b in wave
-                ],
-                jobs=jobs,
-                timeout=timeout,
-                start_method=start_method,
+    missing = list(range(len(bounds_list)))
+    keys: list[str] = []
+    done: dict[str, dict] = {}
+    if journal is not None:
+        keys = [_task_key(topo, b, options) for b in bounds_list]
+        done = journal.load()
+        missing = []
+        for i, b in enumerate(bounds_list):
+            rec = done.get(keys[i])
+            if rec is not None:
+                results[i] = solution_from_record(rec, topo, b)
+                journal.replayed += 1
+            else:
+                missing.append(i)
+
+    shards = [
+        missing[a:b]
+        for a, b in sweep_chunks(len(missing), chunks if chunks else max(1, jobs))
+    ]
+
+    def _absorb(k: int, sols: list) -> None:
+        # One shard done: its points are durable before the next lands.
+        for i, sol in zip(shards[k], sols):
+            results[i] = sol
+            if journal is not None and keys[i] not in done:
+                rec = solution_to_record(sol)
+                journal.append(keys[i], rec)
+                done[keys[i]] = rec
+
+    def _on_shard(o: TaskOutcome) -> None:
+        if o.ok:
+            _absorb(o.index, o.value)
+
+    args = [
+        (topo, [bounds_list[i] for i in shard], options) for shard in shards
+    ]
+    if jobs == 1 and timeout is None:
+        for k, a in enumerate(args):
+            _absorb(k, _solve_sweep_chunk(*a))
+    elif args:
+        with WorkerPool(min(jobs, len(args)), start_method) as pool:
+            outcomes = BatchScheduler(pool).run(
+                _solve_sweep_chunk, args, timeout=timeout, on_result=_on_shard
             )
-            for (a, b), shard in zip(wave, shard_results):
-                for i, sol in zip(missing[a:b], shard):
-                    results[i] = sol
-                    if keys[i] not in done:
-                        rec = solution_to_record(sol)
-                        journal.append(keys[i], rec)
-                        done[keys[i]] = rec
+        for o in outcomes:
+            o.unwrap()  # the first failed shard raises TaskError
     assert all(r is not None for r in results)
     return results

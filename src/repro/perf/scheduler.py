@@ -1,11 +1,12 @@
 """Chunked batch scheduler over the resident :class:`~repro.perf.WorkerPool`.
 
-:func:`repro.perf.run_many` pays a process start per task and
-:func:`~repro.perf.solve_many`'s old journal mode committed in
-barrier-synchronized waves of ``jobs`` tasks.  Both costs are invisible
-while an LP solve takes seconds — and dominant once the tree backend
-makes a per-net solve sub-100ms and a chip-scale CTS run pushes 10k nets
-through one command.  The :class:`BatchScheduler` removes them:
+The one dispatch engine of :mod:`repro.perf`: :func:`map_many`,
+:func:`~repro.perf.solve_many`, :func:`~repro.perf.solve_sweep_sharded`
+and :func:`~repro.perf.run_cts` all run their parallel batches through
+it.  Once the tree backend makes a per-net solve sub-100ms and a
+chip-scale CTS run pushes 10k nets through one command, process starts,
+per-task IPC and batch barriers dominate the wall time.  The
+:class:`BatchScheduler` removes them:
 
 * **fork once** — tasks run on a resident pool's workers, shipped over
   already-open pipes instead of fresh processes;
@@ -207,3 +208,32 @@ class BatchScheduler:
             raise failure[0]
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]
+
+
+def map_many(
+    fn: Callable,
+    args_list: Sequence[tuple],
+    *,
+    jobs: int = 1,
+    timeout: float | None = None,
+    start_method: str | None = None,
+) -> list:
+    """``[fn(*a) for a in args_list]``, fanned across ``jobs`` processes.
+
+    With ``jobs=1`` and no timeout this is literally that loop —
+    exceptions propagate with their original type, which keeps serial
+    experiment drivers byte-identical to their pre-pool behavior.
+    Otherwise the tasks run through a :class:`BatchScheduler` on a
+    :class:`~repro.perf.WorkerPool` forked for the call: values come back
+    in input order, ``timeout`` is a hard per-task limit (the overdue
+    task's worker is killed), and the first failed task raises
+    :class:`~repro.perf.TaskError`.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    args_list = list(args_list)
+    if (jobs == 1 and timeout is None) or not args_list:
+        return [fn(*args) for args in args_list]
+    with WorkerPool(min(jobs, len(args_list)), start_method) as pool:
+        outcomes = BatchScheduler(pool).run(fn, args_list, timeout=timeout)
+    return [o.unwrap() for o in outcomes]

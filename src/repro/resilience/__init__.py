@@ -5,7 +5,7 @@ degrade gracefully, not die on the first solver hiccup.  This package
 hardens the LP -> embed pipeline in three layers:
 
 * :func:`solve_lp_resilient` — a configurable backend cascade
-  (simplex -> scipy/HiGHS by default) with per-attempt wall-clock
+  (simplex -> scipy/HiGHS by default) with per-attempt cooperative
   timeouts, retry-on-numerical-error with input rescaling, result
   validation (NaN / infeasible "optimal" answers are rejected), and a
   structured :class:`SolveReport` of every attempt;

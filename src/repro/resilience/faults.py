@@ -47,7 +47,9 @@ class ExceptionFault:
 class TimeoutFault:
     """The backend stalls for ``seconds`` before delegating; pair with a
     per-attempt ``timeout`` below ``seconds`` to exercise the timeout
-    path."""
+    path.  Like a real backend, the stall honours the caller's
+    ``time_limit``: it sleeps only until the limit and then answers
+    :attr:`~repro.lp.LpStatus.TIME_LIMIT`."""
 
     seconds: float = 0.2
 
@@ -88,18 +90,27 @@ class FaultyBackend:
         self.calls = 0
         self.injected: list[Fault] = []
 
-    def __call__(self, lp: LinearProgram) -> LpResult:
+    def __call__(
+        self, lp: LinearProgram, time_limit: float | None = None
+    ) -> LpResult:
         k = self.calls
         self.calls += 1
         fault = self.faults[k] if k < len(self.faults) else None
+        limit = {} if time_limit is None else {"time_limit": time_limit}
         if fault is None:
-            return self.inner(lp)
+            return self.inner(lp, **limit)
         self.injected.append(fault)
         if isinstance(fault, ExceptionFault):
             raise fault.exc_type(fault.message)
         if isinstance(fault, TimeoutFault):
+            if time_limit is not None and time_limit < fault.seconds:
+                time.sleep(time_limit)
+                return LpResult(
+                    LpStatus.TIME_LIMIT, None, None, 0, self.name,
+                    message="injected stall outlasted the time limit",
+                )
             time.sleep(fault.seconds)
-            return self.inner(lp)
+            return self.inner(lp, **limit)
         if isinstance(fault, NanSolutionFault):
             return LpResult(
                 LpStatus.OPTIMAL,

@@ -27,9 +27,8 @@ class AttemptOutcome:
     UNBOUNDED = "unbounded"
     ERROR = "error"  # backend returned LpStatus.ERROR
     EXCEPTION = "exception"  # backend raised
-    TIMEOUT = "timeout"  # per-attempt wall clock exceeded
+    TIMEOUT = "timeout"  # per-attempt time limit ran out
     INVALID = "invalid-solution"  # "optimal" with NaN/infeasible x
-    CANCELLED = "cancelled"  # lost a backend race; result discarded
     SKIPPED = "skipped"  # circuit breaker open; backend never invoked
 
     #: Outcomes that settle the model's fate — no further attempts needed.
@@ -38,8 +37,7 @@ class AttemptOutcome:
     NUMERICAL = frozenset({ERROR, INVALID})
     #: Outcomes a circuit breaker counts against the backend.  Definitive
     #: answers prove the backend works (the model's feasibility is not its
-    #: fault); CANCELLED/SKIPPED attempts never ran, so they count neither
-    #: way.
+    #: fault); SKIPPED attempts never ran, so they count neither way.
     BREAKER_FAILURES = frozenset({ERROR, EXCEPTION, TIMEOUT, INVALID})
 
 

@@ -86,7 +86,6 @@ ALLOWED_OPTIONS = frozenset(
         "resilient",
         "lp_timeout",
         "on_infeasible",
-        "race",
     }
 )
 

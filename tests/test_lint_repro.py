@@ -1,21 +1,23 @@
-"""Tests for the project AST lint (``tools/lint_repro.py``).
+"""The RL rule family of the project analyzer (:mod:`repro.analysis`).
 
-The tool lives outside ``src/`` so it is loaded by file path."""
+Per-rule semantics of RL001–RL006 (scope, what fires, what stays
+silent), ``# noqa`` handling, the CLI's exit codes on an RL finding, and
+a clean shipped tree.  Cases run the RL family without the RL900
+suppression audit, so each sees only the rule under test."""
 
-import importlib.util
-import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-_TOOL = Path(__file__).resolve().parent.parent / "tools" / "lint_repro.py"
+from repro.analysis import engine
+from repro.analysis.engine import analyze_paths
+
 _SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-spec = importlib.util.spec_from_file_location("lint_repro", _TOOL)
-lint_repro = importlib.util.module_from_spec(spec)
-sys.modules["lint_repro"] = lint_repro  # dataclasses needs the registration
-spec.loader.exec_module(lint_repro)
+
+def lint_paths(paths):
+    return analyze_paths(paths, families=("RL",), audit=False)
 
 
 def run_lint(tmp_path, rel, code):
@@ -23,7 +25,7 @@ def run_lint(tmp_path, rel, code):
     path = tmp_path / rel.lstrip("/")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(code))
-    return lint_repro.lint_paths([tmp_path])
+    return lint_paths([tmp_path])
 
 
 def rules_of(findings):
@@ -224,14 +226,14 @@ class TestSuppressionAndPlumbing:
         bad = tmp_path / "repro" / "lp" / "foo.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("for x in set([1]):\n    pass\n")
-        assert lint_repro.main([str(tmp_path)]) == 1
+        assert engine.main([str(tmp_path)]) == 1
         assert "RL002" in capsys.readouterr().out
         bad.write_text("for x in sorted([1]):\n    pass\n")
-        assert lint_repro.main([str(tmp_path)]) == 0
+        assert engine.main([str(tmp_path)]) == 0
         assert "clean" in capsys.readouterr().out
 
 
 def test_shipped_source_tree_lints_clean():
     """The enforced guarantee: ``src/repro`` has zero findings."""
-    findings = lint_repro.lint_paths([_SRC])
+    findings = lint_paths([_SRC])
     assert findings == [], "\n".join(f.render() for f in findings)

@@ -1,4 +1,5 @@
-"""The process-pool batch runner: ordering, equivalence, and hard kills."""
+"""The resident process pool and its scheduler: ordering, equivalence,
+and hard kills."""
 
 import os
 import time
@@ -17,7 +18,6 @@ from repro.perf import (
     TaskError,
     WorkerPool,
     map_many,
-    run_many,
     solve_many,
 )
 from repro.topology import nearest_neighbor_topology
@@ -51,26 +51,36 @@ def _crash_or_square(x):
     return x * x
 
 
+def _outcomes(fn, args_list, jobs, timeout=None):
+    """Per-task outcome records from the scheduler on a fresh pool."""
+    with WorkerPool(jobs) as pool:
+        return BatchScheduler(pool).run(fn, args_list, timeout=timeout)
+
+
 class TestRunMany:
+    """Ordered fan-out of many tasks: ``map_many`` and the outcome
+    records the scheduler hands back (exceptions, kills, crashes)."""
+
     def test_inline_path_matches_loop(self):
-        outs = run_many(_square, [(i,) for i in range(6)], jobs=1)
-        assert [o.unwrap() for o in outs] == [i * i for i in range(6)]
-        assert [o.index for o in outs] == list(range(6))
+        out = map_many(_square, [(i,) for i in range(6)], jobs=1)
+        assert out == [i * i for i in range(6)]
 
     def test_parallel_preserves_order(self):
-        outs = run_many(_square, [(i,) for i in range(9)], jobs=3)
-        assert [o.unwrap() for o in outs] == [i * i for i in range(9)]
+        out = map_many(_square, [(i,) for i in range(9)], jobs=3)
+        assert out == [i * i for i in range(9)]
 
     def test_worker_exception_becomes_outcome(self):
-        out = run_many(_fail, [(3,)], jobs=2)[0]
+        out = _outcomes(_fail, [(3,)], jobs=2)[0]
         assert not out.ok and not out.timed_out
         assert "bad input 3" in out.error
         with pytest.raises(TaskError):
             out.unwrap()
+        with pytest.raises(TaskError, match="bad input 3"):
+            map_many(_fail, [(3,)], jobs=2)
 
     def test_timeout_kills_worker(self):
         t0 = time.perf_counter()
-        outs = run_many(_sleep_forever, [(0,), (1,)], jobs=2, timeout=0.5)
+        outs = _outcomes(_sleep_forever, [(0,), (1,)], jobs=2, timeout=0.5)
         wall = time.perf_counter() - t0
         assert all(o.timed_out and not o.ok for o in outs)
         assert all(o.elapsed >= 0.5 for o in outs)
@@ -78,9 +88,13 @@ class TestRunMany:
         assert wall < 30.0
         with pytest.raises(TaskError, match="timed out"):
             outs[0].unwrap()
+        t0 = time.perf_counter()
+        with pytest.raises(TaskError, match="timed out"):
+            map_many(_sleep_forever, [(0,)], jobs=1, timeout=0.5)
+        assert time.perf_counter() - t0 < 30.0
 
     def test_mixed_fast_and_hung(self):
-        outs = run_many(
+        outs = _outcomes(
             time.sleep, [(0.01,), (300,), (0.01,)], jobs=2, timeout=1.0
         )
         assert [o.timed_out for o in outs] == [False, True, False]
@@ -88,15 +102,12 @@ class TestRunMany:
 
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
-            run_many(_square, [(1,)], jobs=0)
+            map_many(_square, [(1,)], jobs=0)
 
     def test_worker_crash_is_distinguished_from_timeout(self):
         """A worker that dies without writing a payload (EOF on its
         pipe) must come back ``crashed``, not hang or leak EOFError."""
-        outs = run_many(
-            _die_without_payload, [(13,)], jobs=2, timeout=30.0
-        )
-        out = outs[0]
+        out = _outcomes(_die_without_payload, [(13,)], jobs=2, timeout=30.0)[0]
         assert not out.ok
         assert out.crashed and not out.timed_out
         assert "exit code 13" in out.error
@@ -104,10 +115,12 @@ class TestRunMany:
             out.unwrap()
 
     def test_crash_among_healthy_tasks(self):
-        outs = run_many(_crash_or_square, [(0,), (1,), (2,), (3,)], jobs=2)
+        outs = _outcomes(_crash_or_square, [(0,), (1,), (2,), (3,)], jobs=2)
         assert [o.ok for o in outs] == [True, False, True, True]
         assert outs[1].crashed
         assert [o.value for o in outs if o.ok] == [0, 4, 9]
+        with pytest.raises(TaskError, match="crashed"):
+            map_many(_crash_or_square, [(0,), (1,), (2,)], jobs=2)
 
     def test_map_many_serial_preserves_exception_type(self):
         with pytest.raises(ValueError, match="bad input"):
@@ -161,7 +174,7 @@ class TestWorkerPool:
 
     def test_ordered_run_many(self):
         with WorkerPool(jobs=3) as pool:
-            outs = pool.run_many(_square, [(i,) for i in range(9)])
+            outs = BatchScheduler(pool).run(_square, [(i,) for i in range(9)])
         assert [o.unwrap() for o in outs] == [i * i for i in range(9)]
         assert [o.index for o in outs] == list(range(9))
 
@@ -280,21 +293,27 @@ class TestSubmitChunk:
 
 
 class TestImapUnordered:
+    """The unordered result stream: ``BatchScheduler.run``'s
+    ``on_result`` fires in completion order, tagged with input indices."""
+
     def test_yields_every_result_with_original_index(self):
+        got = []
         with WorkerPool(jobs=2) as pool:
-            got = sorted(
-                (o.index, o.unwrap())
-                for o in pool.imap_unordered(_square, [(i,) for i in range(8)])
+            BatchScheduler(pool).run(
+                _square,
+                [(i,) for i in range(8)],
+                on_result=lambda o: got.append((o.index, o.unwrap())),
             )
-        assert got == [(i, i * i) for i in range(8)]
+        assert sorted(got) == [(i, i * i) for i in range(8)]
 
     def test_fast_tasks_stream_past_slow_ones(self):
         order = []
         with WorkerPool(jobs=2) as pool:
-            for o in pool.imap_unordered(
-                time.sleep, [(0.5,), (0.01,), (0.01,)]
-            ):
-                order.append(o.index)
+            BatchScheduler(pool).run(
+                time.sleep,
+                [(0.5,), (0.01,), (0.01,)],
+                on_result=lambda o: order.append(o.index),
+            )
         # The 0.5s sleeper lands last despite being submitted first.
         assert order[-1] == 0
 
@@ -379,10 +398,10 @@ class TestExperimentJobs:
         reason="spawn round-trip is slow; covered by fork elsewhere",
     )
     def test_spawn_start_method(self, tmp_path):
-        outs = run_many(
+        out = map_many(
             _square, [(i,) for i in range(3)], jobs=2, start_method="spawn"
         )
-        assert [o.unwrap() for o in outs] == [0, 1, 4]
+        assert out == [0, 1, 4]
 
 
 class TestCrashLoopCap:

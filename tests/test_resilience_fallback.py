@@ -6,6 +6,9 @@ first backend (exception, timeout, and NaN-solution faults),
 backend, and the ``SolveReport`` records every attempt.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -263,3 +266,67 @@ class TestLubtIntegration:
         sol, tree = solve_and_embed(topo, bounds, resilient=True)
         assert sol.solve_reports
         assert tree.cost == pytest.approx(sol.cost)
+
+
+class TestCooperativeDeadlines:
+    """Per-attempt timeouts are deadlines the backends honour themselves:
+    a timed-out attempt returns, it is not abandoned on a live thread."""
+
+    def test_timeout_fault_cascade_leaves_no_thread(self):
+        before = set(threading.enumerate())
+        solvers = faults.faulty_solvers(
+            {"simplex": [faults.TimeoutFault(seconds=3.0)]}
+        )
+        t0 = time.perf_counter()
+        report = solve_lp_resilient(
+            small_lp(), ("simplex", "scipy"), solvers=solvers, timeout=0.1
+        )
+        assert time.perf_counter() - t0 < 2.0
+        assert [a.outcome for a in report.attempts] == [
+            AttemptOutcome.TIMEOUT, AttemptOutcome.OPTIMAL,
+        ]
+        assert set(threading.enumerate()) == before
+
+    def test_solve_lubt_lp_timeout_leaves_no_thread(self):
+        from repro import solve_lubt
+
+        topo, bounds = TestLubtIntegration()._instance()
+        before = set(threading.enumerate())
+        sol = solve_lubt(
+            topo, bounds, resilient=True, lp_timeout=0.1,
+            solvers=faults.faulty_solvers(
+                {"simplex": [faults.TimeoutFault(seconds=3.0)]}
+            ),
+        )
+        assert set(threading.enumerate()) == before
+        outcomes = [a.outcome for r in sol.solve_reports for a in r.attempts]
+        assert outcomes[0] == AttemptOutcome.TIMEOUT
+        assert sol.cost == pytest.approx(solve_lubt(topo, bounds).cost)
+
+    def test_scipy_time_limit_is_a_timeout_attempt(self):
+        from repro.data import synth_instance
+        from repro.ebf import build_ebf_lp
+
+        topo, bounds = synth_instance(64, 11)
+        lp = build_ebf_lp(topo, bounds)  # full Steiner family: ~2k rows
+        before = set(threading.enumerate())
+        report = solve_lp_resilient(
+            lp, ("scipy",), timeout=1e-6, raise_on_failure=False
+        )
+        assert set(threading.enumerate()) == before
+        assert report.result is None
+        [attempt] = report.attempts
+        assert attempt.outcome == AttemptOutcome.TIMEOUT
+        assert "wall clock" in attempt.error
+
+    def test_simplex_checks_its_deadline(self):
+        from repro.lp.simplex import solve_simplex
+
+        lp = LinearProgram()
+        xs = [lp.add_variable(f"x{j}", cost=1.0 + j % 3) for j in range(60)]
+        for i in range(60):
+            lp.add_constraint(
+                {xs[i]: 1.0, xs[(i + 1) % 60]: 1.0}, Sense.GE, 1.0 + i % 5
+            )
+        assert solve_simplex(lp).status is LpStatus.OPTIMAL
+        assert solve_simplex(lp, time_limit=1e-9).status is LpStatus.TIME_LIMIT
