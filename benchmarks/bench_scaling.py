@@ -136,7 +136,7 @@ def test_tree_tier():
     times in BENCH_scaling.json and gate a >= 10x speedup at 1k sinks."""
     sizes = TREE_SIZES_FULL if full_run() else TREE_SIZES_QUICK
     t = Table(
-        ["sinks", "tree s", "generic s", "speedup", "dual iters", "backend"],
+        ["sinks", "tree s", "generic s", "speedup", "LP iters", "backend"],
         title="tree backend vs best generic (synth uniform, window [0.8, 1.2])",
     )
     records = []
@@ -152,7 +152,7 @@ def test_tree_tier():
             f"{tree_s:.3f}",
             f"{gen_s:.3f}",
             f"{speedup:.1f}x",
-            tree_sol.stats.dual_iterations,
+            tree_sol.stats.lp_iterations,
             gen_sol.stats.backend,
         )
         records.append(
@@ -162,8 +162,7 @@ def test_tree_tier():
                 "generic_seconds": gen_s,
                 "generic_backend": gen_sol.stats.backend,
                 "speedup": speedup,
-                "dual_iterations": tree_sol.stats.dual_iterations,
-                "dp_passes": tree_sol.stats.dp_passes,
+                "lp_iterations": tree_sol.stats.lp_iterations,
                 "cost": tree_sol.cost,
             }
         )
@@ -214,13 +213,12 @@ def test_tree_tier_xl():
         "generic_seconds": None,
         "generic_backend": None,
         "speedup": None,
-        "dual_iterations": sol.stats.dual_iterations,
-        "dp_passes": sol.stats.dp_passes,
+        "lp_iterations": sol.stats.lp_iterations,
         "cost": sol.cost,
     }
     _update_baseline(tree_tier=_merge_tree_sizes([record]))
     print(
         f"\n{TREE_XL_SINKS} sinks, tree backend: {seconds:.2f}s "
-        f"({sol.stats.dual_iterations} dual iterations, cost {sol.cost:,.1f})"
+        f"({sol.stats.lp_iterations} LP iterations, cost {sol.cost:,.1f})"
     )
     assert seconds < 60.0, seconds

@@ -241,7 +241,7 @@ def check_tree(sinks: int, factor: float) -> list[str]:
     print(
         f"tree backend ({sinks} sinks): tree {tree_seconds:.3f}s vs "
         f"{gen_sol.stats.backend} {gen_seconds:.3f}s = {speedup:.1f}x, "
-        f"{tree_sol.stats.dual_iterations} dual iterations, costs "
+        f"{tree_sol.stats.lp_iterations} LP iterations, costs "
         + ("match" if not failures else "DIFFER/SLOW")
     )
     return failures

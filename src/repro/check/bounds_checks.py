@@ -15,12 +15,8 @@ import math
 import numpy as np
 
 from repro.check.diagnostics import Diagnostic
-from repro.ebf.bounds import DelayBounds, radius_of
-from repro.geometry import manhattan
+from repro.ebf.bounds import FLOOR_TOL, DelayBounds, upper_floor
 from repro.topology.tree import Topology
-
-#: Same tolerance ``DelayBounds.check`` uses for the Eq. 3/4 floor.
-_FLOOR_TOL = 1e-9
 
 
 def check_bounds(
@@ -91,37 +87,26 @@ def check_bounds(
 def _check_floor(
     lo: np.ndarray, hi: np.ndarray, topo: Topology
 ) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
     src = topo.source_location
-    if src is not None:
-        if not (math.isfinite(src.x) and math.isfinite(src.y)):
-            return out  # TP008 territory; a floor is meaningless here
-        for i in topo.sink_ids():
-            s = topo.sink_location(i)
-            if not (math.isfinite(s.x) and math.isfinite(s.y)):
-                continue
-            need = manhattan(src, s)
-            u_i = float(hi[i - 1])
-            if not math.isnan(u_i) and u_i < need - _FLOOR_TOL:
-                out.append(
-                    Diagnostic(
-                        "BD005",
-                        f"upper bound {u_i:g} < dist(source, sink) = "
-                        f"{need:g} (Eq. 3)",
-                        locus=f"sink {i}",
-                    )
-                )
-    else:
-        r = radius_of(topo)
-        if math.isfinite(r):
-            for idx in np.nonzero(hi < r - _FLOOR_TOL)[0]:
-                u_i = float(hi[idx])
-                if not math.isnan(u_i):
-                    out.append(
-                        Diagnostic(
-                            "BD005",
-                            f"upper bound {u_i:g} < radius {r:g} (Eq. 4)",
-                            locus=f"sink {int(idx) + 1}",
-                        )
-                    )
+    if src is not None and not (math.isfinite(src.x) and math.isfinite(src.y)):
+        return []  # TP008 territory; a floor is meaningless here
+    need = upper_floor(topo)
+    # Sinks with non-finite coordinates have no floor to check (NaN
+    # uppers compare False and are BD001's business).
+    short = np.isfinite(need) & (hi < need - FLOOR_TOL)
+    out: list[Diagnostic] = []
+    for idx in np.flatnonzero(short):
+        u_i, floor = float(hi[idx]), float(need[idx])
+        what = (
+            f"dist(source, sink) = {floor:g} (Eq. 3)"
+            if src is not None
+            else f"radius {floor:g} (Eq. 4)"
+        )
+        out.append(
+            Diagnostic(
+                "BD005",
+                f"upper bound {u_i:g} < {what}",
+                locus=f"sink {int(idx) + 1}",
+            )
+        )
     return out

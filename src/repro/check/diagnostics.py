@@ -100,16 +100,16 @@ CODES: dict[str, tuple[Severity, str, str]] = {
     "LP013": (
         Severity.INFO,
         "tree-structured-model",
-        "the model carries tree metadata covering every row, so the "
-        "structure-aware backend=\"tree\" collapsed solve applies; "
-        "purely advisory",
+        "the model carries its source instance (tree metadata) and every "
+        "row is covered, so backend=\"tree\" can solve it as the "
+        "collapsed node-potential model; purely advisory",
     ),
     "LP014": (
         Severity.WARNING,
         "tree-metadata-stale",
         "rows were appended past the tree metadata's coverage watermark "
         "by a path other than add_steiner_rows; backend=\"tree\" will "
-        "decline this model — re-stamp or rebuild via build_ebf_lp",
+        "decline this model — rebuild it via build_ebf_lp",
     ),
     "LP015": (
         Severity.WARNING,

@@ -39,12 +39,13 @@ def check_lp(lp: LinearProgram) -> list[Diagnostic]:
 def _check_tree_meta(lp: LinearProgram) -> list[Diagnostic]:
     """Tree-structure visibility (``LP013``/``LP014``).
 
-    Models stamped by ``build_ebf_lp`` carry a :class:`TreeLpMeta` whose
-    ``covered_rows`` watermark certifies every row belongs to the family
-    the collapsed tree formulation implies.  A current watermark means
-    ``backend="tree"`` applies (advisory LP013); a stale one means some
-    producer appended rows without advancing it, so the tree backend
-    will decline the model (LP014).
+    Models stamped by ``build_ebf_lp`` carry a :class:`TreeLpMeta` — the
+    instance they were built from — whose ``covered_rows`` watermark
+    certifies every row belongs to the family the collapsed tree model
+    (``build_tree_lp``) implies.  A current watermark means
+    ``solve_lp(lp, "tree")`` applies (advisory LP013); a stale one means
+    some producer appended rows without advancing it, so the tree
+    backend will decline the model (LP014).
     """
     meta = getattr(lp, "tree_meta", None)
     if meta is None:
@@ -55,7 +56,7 @@ def _check_tree_meta(lp: LinearProgram) -> list[Diagnostic]:
             Diagnostic(
                 "LP013",
                 f"tree metadata covers all {covered} rows "
-                f"({int(meta.num_sinks)} sinks); backend=\"tree\" applies",
+                f"({meta.topo.num_sinks} sinks); backend=\"tree\" applies",
             )
         ]
     return [

@@ -169,10 +169,6 @@ def _cmd_solve(args) -> int:
     t.add_row("Steiner rows used", sol.stats.steiner_rows)
     t.add_row("of possible", sol.stats.total_pairs)
     t.add_row("backend", sol.stats.backend)
-    if sol.stats.restricted_master_rounds:
-        t.add_row("dual iterations", sol.stats.dual_iterations)
-        t.add_row("DP passes", sol.stats.dp_passes)
-        t.add_row("master rounds", sol.stats.restricted_master_rounds)
     t.add_row("LP seconds", f"{sol.stats.lp_seconds:.4f}")
     t.add_row("embed seconds", f"{sol.stats.embed_seconds:.4f}")
     if args.resilient:

@@ -10,6 +10,8 @@ The LUBT problem is solved as a linear program whose variables are the
 Public entry points:
 
 * :func:`solve_lubt` — LUBT under the linear delay model (LP, optimal);
+* :func:`build_ebf_lp` / :func:`build_tree_lp` — the flat EBF LP, and the
+  same problem with its Steiner family collapsed to O(n) rows;
 * :func:`solve_sweep` / :class:`WarmStart` — warm-started bound sweeps
   on a fixed topology (each solve seeds the next one's lazy loop);
 * :func:`solve_zero_skew` — the Section 4.6 zero-skew special case via
@@ -27,7 +29,7 @@ from repro.ebf.constraints import (
     seed_constraint_pairs,
     sink_pair_count,
 )
-from repro.ebf.formulation import build_ebf_lp
+from repro.ebf.formulation import build_ebf_lp, build_tree_lp
 from repro.ebf.solver import LubtSolution, solve_lubt
 from repro.ebf.sweep import WarmStart, canonical_cost, solve_sweep
 from repro.ebf.zero_skew import solve_zero_skew
@@ -42,6 +44,7 @@ __all__ = [
     "seed_constraint_pairs",
     "sink_pair_count",
     "build_ebf_lp",
+    "build_tree_lp",
     "LubtSolution",
     "solve_lubt",
     "WarmStart",

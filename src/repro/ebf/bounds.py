@@ -14,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry import manhattan, manhattan_diameter, manhattan_radius_from
+from repro.geometry import manhattan_diameter, manhattan_radius_from
 from repro.topology import Topology
+
+#: Slack below the Eq. 3/4 floor still accepted as float noise (absolute).
+FLOOR_TOL = 1e-9
 
 
 class BoundsError(ValueError):
@@ -131,19 +134,19 @@ class DelayBounds:
             raise BoundsError(
                 f"{len(self.lower)} bound pairs for {topo.num_sinks} sinks"
             )
-        src = topo.source_location
-        if src is not None:
-            for i in topo.sink_ids():
-                need = manhattan(src, topo.sink_location(i))
-                if self.upper[i - 1] < need - 1e-9:
-                    raise BoundsError(
-                        f"u_{i} = {self.upper[i - 1]:g} < dist(source, sink) = "
-                        f"{need:g} (Eq. 3)"
-                    )
-        else:
-            r = radius_of(topo)
-            if np.any(self.upper < r - 1e-9):
-                raise BoundsError(f"every upper bound must be >= radius = {r:g} (Eq. 4)")
+        need = upper_floor(topo)
+        bad = np.flatnonzero(self.upper < need - FLOOR_TOL)
+        if bad.size == 0:
+            return
+        if topo.source_location is None:
+            raise BoundsError(
+                f"every upper bound must be >= radius = {need[0]:g} (Eq. 4)"
+            )
+        i = int(bad[0]) + 1
+        raise BoundsError(
+            f"u_{i} = {self.upper[i - 1]:g} < dist(source, sink) = "
+            f"{need[i - 1]:g} (Eq. 3)"
+        )
 
     @property
     def num_sinks(self) -> int:
@@ -166,3 +169,21 @@ def radius_of(topo: Topology) -> float:
     if topo.source_location is not None:
         return manhattan_radius_from(topo.source_location, sinks)
     return manhattan_diameter(sinks) / 2.0
+
+
+def source_distances(topo: Topology) -> np.ndarray:
+    """``dist(s_0, s_i)`` per sink (index ``i - 1``) for a given source."""
+    src = topo.source_location
+    if src is None:
+        raise ValueError("the topology has no given source location")
+    x = np.array([p.x for p in topo.sink_locations], dtype=float)
+    y = np.array([p.y for p in topo.sink_locations], dtype=float)
+    return np.abs(x - src.x) + np.abs(y - src.y)
+
+
+def upper_floor(topo: Topology) -> np.ndarray:
+    """Smallest valid upper bound per sink (Definition 2.1): the source
+    distance with a given source (Eq. 3), the radius otherwise (Eq. 4)."""
+    if topo.source_location is None:
+        return np.full(topo.num_sinks, radius_of(topo))
+    return source_distances(topo)

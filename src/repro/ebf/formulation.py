@@ -22,10 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.ebf.bounds import DelayBounds
+from repro.ebf.bounds import DelayBounds, source_distances
 from repro.ebf.constraints import all_sink_pairs, steiner_row_matrix
-from repro.geometry import manhattan
 from repro.lp import LinearProgram, Sense
+from repro.lp.model import collapse_noisy_range
 from repro.topology import Topology
 
 
@@ -49,56 +49,91 @@ def build_ebf_lp(
     ``weights`` (indexed by node id, entry 0 ignored) give the Section 7
     weighted objective; ``pairs`` restricts the Steiner rows to a subset
     (used by lazy row generation); ``zero_edges`` pins tie edges to zero.
+
+    The model is stamped with its source instance (a
+    :class:`~repro.lp.TreeLpMeta`), so ``backend="tree"`` can solve it
+    through :func:`build_tree_lp`.
     """
     if bounds.num_sinks != topo.num_sinks:
         raise ValueError("bounds/sink count mismatch")
-    if weights is not None and len(weights) != topo.num_nodes:
-        raise ValueError("weights must be indexed by node id (len = num_nodes)")
+    w = _edge_weights(topo, weights)
 
     lp = LinearProgram()
     for i in range(1, topo.num_nodes):
-        w = 1.0 if weights is None else float(weights[i])
-        if w < 0:
-            raise ValueError(f"negative edge weight for e_{i}")
-        lp.add_variable(f"e{i}", cost=w)
+        lp.add_variable(f"e{i}", cost=w[i])
     zero_edges = tuple(zero_edges)
     for i in zero_edges:
         lp.fix_variable(edge_var(i), 0.0)
 
-    windows = add_delay_rows(lp, topo, bounds)
+    add_delay_rows(lp, topo, bounds)
     add_steiner_rows(lp, topo, pairs)
-    _stamp_tree_meta(lp, topo, windows, zero_edges, weights)
+    from repro.lp import TreeLpMeta
+
+    lp.tree_meta = TreeLpMeta(
+        topo, bounds, weights, zero_edges, covered_rows=lp.num_constraints
+    )
     return lp
+
+
+def _edge_weights(
+    topo: Topology, weights: Sequence[float] | None
+) -> np.ndarray:
+    """Objective weight per edge, indexed by node id (entry 0 unused)."""
+    if weights is None:
+        return np.ones(topo.num_nodes)
+    if len(weights) != topo.num_nodes:
+        raise ValueError("weights must be indexed by node id (len = num_nodes)")
+    w = np.asarray(weights, dtype=float)
+    negative = np.flatnonzero(w[1:] < 0)
+    if negative.size:
+        raise ValueError(f"negative edge weight for e_{int(negative[0]) + 1}")
+    return w
+
+
+def delay_windows(
+    topo: Topology, bounds: DelayBounds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Effective delay window per sink (index ``i - 1`` is sink ``i``):
+    ``(lower, upper, impossible)``.
+
+    With a given source the lower bound is raised to the Manhattan floor
+    ``dist(s_0, s_i)`` (module docstring).  A window inverted by more than
+    ``1e-12`` is *impossible* — bounds violating Eq. 3 — and the builders
+    encode it as an unsatisfiable ``delay{i}.impossible`` row rather than
+    a silent wrong answer; one inverted by float noise collapses to its
+    midpoint (``BD006``).
+    """
+    lower = np.array(bounds.lower, dtype=float)
+    upper = np.array(bounds.upper, dtype=float)
+    if topo.source_location is not None:
+        lower = np.maximum(lower, source_distances(topo))
+    impossible = lower > upper + 1e-12
+    for k in np.flatnonzero((lower > upper) & ~impossible):
+        lower[k] = upper[k] = collapse_noisy_range(
+            float(lower[k]), float(upper[k]), f"delay{k + 1}"
+        )
+    return lower, upper, impossible
+
+
+def _impossible_rows(lp: LinearProgram, impossible: np.ndarray) -> None:
+    for k in np.flatnonzero(impossible):
+        lp.add_constraint({}, Sense.GE, 1.0, name=f"delay{k + 1}.impossible")
 
 
 def add_delay_rows(
     lp: LinearProgram, topo: Topology, bounds: DelayBounds
-) -> tuple[np.ndarray, np.ndarray]:
-    """One range row per sink (Equation 8), with the fixed-source
-    strengthening described in the module docstring.
-
-    Returns the effective ``(lower, upper)`` window arrays indexed by
-    node id (sink entries meaningful, strengthening applied, inverted
-    windows stored raw) — the exact windows the rows encode, which the
-    tree backend's metadata reuses so the two formulations can never
-    drift.
-    """
-    src = topo.source_location
-    lower = np.zeros(topo.num_nodes)
-    upper = np.zeros(topo.num_nodes)
+) -> None:
+    """One range row per sink (Equation 8) over the windows of
+    :func:`delay_windows`."""
+    lower, upper, impossible = delay_windows(topo, bounds)
+    _impossible_rows(lp, impossible)
     for i in topo.sink_ids():
-        lo, hi = bounds.window(i)
-        if src is not None:
-            lo = max(lo, manhattan(src, topo.sink_location(i)))
-        lower[i], upper[i] = lo, hi
-        if lo > hi + 1e-12:
-            # Bounds violating Eq. 3 produce an immediately-infeasible row
-            # rather than a silent wrong answer.
-            lp.add_constraint({}, Sense.GE, 1.0, name=f"delay{i}.impossible")
+        if impossible[i - 1]:
             continue
         coeffs = {edge_var(k): 1.0 for k in topo.path_to_root(i)}
-        lp.add_range_constraint(coeffs, lo, hi, name=f"delay{i}")
-    return lower, upper
+        lp.add_range_constraint(
+            coeffs, float(lower[i - 1]), float(upper[i - 1]), name=f"delay{i}"
+        )
 
 
 def add_steiner_rows(
@@ -124,41 +159,150 @@ def add_steiner_rows(
     rows = list(
         lp.add_rows(sub.data, sub.indices, sub.indptr, Sense.GE, dist, names)
     )
-    # Every Steiner row is a member of the family the tree backend's
-    # collapsed formulation implies, so appending one keeps the model
-    # tree-solvable: advance the coverage watermark.
+    # Every Steiner row is a member of the family the collapsed tree
+    # model implies, so appending one keeps the model tree-solvable:
+    # advance the coverage watermark.
     if lp.tree_meta is not None:
         lp.tree_meta.covered_rows = lp.num_constraints
     return rows
 
 
-def _stamp_tree_meta(
-    lp: LinearProgram,
+def build_tree_lp(
     topo: Topology,
-    windows: tuple[np.ndarray, np.ndarray],
-    zero_edges: tuple[int, ...],
-    weights: Sequence[float] | None,
-) -> None:
-    """Record the tree facts the flat rows no longer expose, enabling the
-    structure-aware ``backend="tree"`` (see :mod:`repro.lp.treesolve`)."""
-    from repro.lp import TreeLpMeta
+    bounds: DelayBounds,
+    *,
+    weights: Sequence[float] | None = None,
+    zero_edges: Iterable[int] = (),
+) -> LinearProgram:
+    """The EBF LP with its whole Steiner family collapsed to O(n) rows.
 
-    parents = np.zeros(topo.num_nodes, dtype=np.int64)
-    for v in range(1, topo.num_nodes):
-        parents[v] = topo.parent(v)
-    su, sv = topo.sink_uv()
-    lower, upper = windows
-    lp.tree_meta = TreeLpMeta(
-        parents=parents,
-        num_sinks=topo.num_sinks,
-        su=su,
-        sv=sv,
-        lower=lower,
-        upper=upper,
-        zero_edges=zero_edges,
-        weights=None if weights is None else np.asarray(weights, dtype=float),
-        covered_rows=lp.num_constraints,
+    **Node potentials.**  Column ``v - 1`` is the root-to-node delay
+    ``d_v`` (``d_0 = 0`` is a constant, so root entries drop out of every
+    row) and ``e_v = d_v - d_parent(v)``.  Edge non-negativity becomes
+    one 2-nnz monotonicity row per non-root edge (root edges are covered
+    by ``d_v >= 0``); a sink's delay window becomes the variable bound
+    ``lo_i <= d_i <= hi_i``; a pinned tie edge is ``d_v <= d_parent(v)``.
+
+    **Min-chain collapse.**  The Steiner row of a sink pair ``(i, j)``
+    with LCA ``k`` reads ``(d_i - d_k) + (d_j - d_k) >= dist(i, j)``,
+    where ``dist`` is the Chebyshev distance of the rotated coordinates
+    ``(u, v) = (x + y, x - y)``.  Every sink-bearing node ``k`` gets four
+    auxiliary columns bounded above by subtree minima,
+
+        A_k <= min over sinks i under k of (d_i - su_i)
+        B_k <= min (d_i + su_i),  C_k <= min (d_i - sv_i),  D_k <= min (d_i + sv_i)
+
+    as telescoped 2-nnz chain rows (``A_k <= A_c`` per sink-bearing
+    child ``c``; ``A_k <= d_k - su_k`` when ``k`` is itself a sink), plus
+    two 3-nnz geometry rows at every node that is the LCA of some pair:
+
+        A_k + B_k >= 2 d_k        C_k + D_k >= 2 d_k
+
+    The maximal feasible ``A_k`` *is* the subtree minimum, so the
+    geometry rows hold iff every pair under ``k`` satisfies its Steiner
+    row (``max(|du|, |dv|)`` splits into the two one-sided sums); pair
+    rows at higher ancestors follow from monotonicity.  The model has
+    O(n) rows and nonzeros whatever the pair count, and its optimum is
+    the EBF optimum (Theorem 4.2).  :func:`edges_from_potentials` maps a
+    solution back to edge lengths.
+    """
+    if bounds.num_sinks != topo.num_sinks:
+        raise ValueError("bounds/sink count mismatch")
+    w = _edge_weights(topo, weights)
+    n, m = topo.num_nodes, topo.num_sinks
+    parents = topo.parent_array()
+    zero = np.array(tuple(zero_edges), dtype=np.int64)
+
+    lower, upper, impossible = delay_windows(topo, bounds)
+    # Path sums of non-negative edges are non-negative.
+    lower = np.maximum(lower, 0.0)
+    # An empty window is left unbounded: its impossible row decides.
+    upper = np.where(impossible | (lower > upper), np.inf, upper)
+
+    lp = LinearProgram()
+    _impossible_rows(lp, impossible)
+    # Objective: sum_v w_v (d_v - d_parent) = sum_v (w_v - children's w) d_v.
+    child_w = np.zeros(n)
+    np.add.at(child_w, parents[1:], w[1:])
+    cost = w - child_w
+    for v in range(1, n):
+        lo, hi = (lower[v - 1], upper[v - 1]) if v <= m else (0.0, np.inf)
+        lp.add_variable(f"d{v}", cost=cost[v], lb=lo, ub=hi)
+
+    # Row blocks: (columns (k, width), coefficients (width,), rhs (k,)),
+    # all ``<=``; column -1 is the constant d_0 and is dropped.
+    blocks = []
+    inner = np.flatnonzero(parents[1:]) + 1
+    blocks.append((np.stack([parents[inner], inner], 1) - 1, (1.0, -1.0), None))
+    blocks.append((np.stack([zero, parents[zero]], 1) - 1, (1.0, -1.0), None))
+    nsink = np.fromiter(map(len, topo.sinks_under()), dtype=np.int64, count=n)
+    bearing = np.flatnonzero(nsink) if m >= 2 else np.empty(0, np.int64)
+    if bearing.size:
+        aux = np.full(n, -1, dtype=np.int64)
+        aux[bearing] = lp.num_variables + 4 * np.arange(bearing.size)
+        for k in bearing:
+            for tag in "ABCD":
+                lp.add_variable(f"{tag}{k}", lb=-np.inf)
+        quad = np.arange(4)
+        # Chain rows aux[parent(c)] <= aux[c] (a bearing node's parent
+        # is bearing), four copies.
+        child = bearing[bearing != 0]
+        chain = np.stack(
+            [
+                (aux[parents[child]][:, None] + quad).ravel(),
+                (aux[child][:, None] + quad).ravel(),
+            ],
+            1,
+        )
+        blocks.append((chain, (1.0, -1.0), None))
+        # Self rows A_i <= d_i - su_i, B_i <= d_i + su_i, C_i <= d_i - sv_i,
+        # D_i <= d_i + sv_i at every sink.
+        sinks = np.arange(1, m + 1)
+        su, sv = topo.sink_uv()
+        own = np.stack(
+            [(aux[sinks][:, None] + quad).ravel(), np.repeat(sinks - 1, 4)], 1
+        )
+        rhs = np.stack(
+            [-su[sinks], su[sinks], -sv[sinks], sv[sinks]], 1
+        ).ravel()
+        blocks.append((own, (1.0, -1.0), rhs))
+        # Geometry rows 2 d_k - A_k - B_k <= 0, 2 d_k - C_k - D_k <= 0 at
+        # every LCA: two sink-bearing children, or a sink with one.
+        fanout = np.bincount(parents[child], minlength=n)
+        is_sink = (np.arange(n) >= 1) & (np.arange(n) <= m)
+        lca = np.flatnonzero((fanout >= 2) | (is_sink & (fanout >= 1)))
+        geo = np.stack(
+            [lca - 1, aux[lca], aux[lca] + 1, lca - 1, aux[lca] + 2, aux[lca] + 3],
+            1,
+        ).reshape(-1, 3)
+        blocks.append((geo, (2.0, -1.0, -1.0), None))
+
+    data, cols, lens, rhs_parts = [], [], [], []
+    for block_cols, coefs, rhs in blocks:
+        keep = block_cols >= 0
+        data.append(np.broadcast_to(coefs, block_cols.shape)[keep])
+        cols.append(block_cols[keep])
+        lens.append(keep.sum(axis=1))
+        rhs_parts.append(np.zeros(len(block_cols)) if rhs is None else rhs)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(lens))])
+    lp.add_rows(
+        np.concatenate(data), np.concatenate(cols), indptr, Sense.LE,
+        np.concatenate(rhs_parts),
     )
+    return lp
+
+
+def edges_from_potentials(
+    topo: Topology, x: np.ndarray, zero_edges: Iterable[int] = ()
+) -> np.ndarray:
+    """A :func:`build_tree_lp` solution -> edge lengths indexed by node
+    id, pinned tie edges exactly zero."""
+    d = np.zeros(topo.num_nodes)
+    d[1:] = np.asarray(x, dtype=float)[: topo.num_nodes - 1]
+    e = np.maximum(d - d[topo.parent_array()], 0.0)
+    e[0] = 0.0
+    e[list(zero_edges)] = 0.0
+    return e
 
 
 def expand_edge_vector(topo: Topology, x: np.ndarray) -> np.ndarray:

@@ -6,13 +6,14 @@ constraint reduction as sound row generation: seed with the farthest cross
 pair per branching node, solve, add violated rows, repeat.  Both modes end
 with an exact all-pairs violation check, so a returned solution always
 satisfies *every* Steiner constraint; by LP optimality it is the minimum
-cost LUBT for the topology (Theorem 4.2).
+cost LUBT for the topology (Theorem 4.2).  ``backend="tree"`` needs no row
+generation: its collapsed model already holds every Steiner constraint.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from repro.ebf.constraints import (
 from repro.ebf.formulation import (
     add_steiner_rows,
     build_ebf_lp,
+    build_tree_lp,
+    edges_from_potentials,
     expand_edge_vector,
 )
 from repro.lp import InfeasibleError, solve_lp
@@ -56,14 +59,6 @@ class SolveStats:
     #: Wall-clock of the embedding stage.  The solver itself never embeds;
     #: :func:`repro.embedding.solve_and_embed` stamps this in afterwards.
     embed_seconds: float = 0.0
-    #: Tree-backend provenance (zero when no LP was solved by
-    #: ``backend="tree"``): simplex iterations of the collapsed
-    #: node-potential master, O(n) tree walks performed, and master LP
-    #: solves, summed over every LP of the solve (see
-    #: :mod:`repro.lp.treesolve`).
-    dual_iterations: int = 0
-    dp_passes: int = 0
-    restricted_master_rounds: int = 0
 
     @property
     def assembly_seconds(self) -> float:
@@ -82,7 +77,9 @@ class LubtSolution:
 
     ``lp``/``lp_result`` are retained when ``solve_lubt(keep_lp=True)``
     so downstream analyses (e.g. delay-bound shadow prices) can read row
-    duals without re-solving.
+    duals without re-solving.  Under ``backend="tree"`` ``lp`` is the
+    collapsed node-potential model and ``lp_result`` its answer mapped to
+    edge lengths, without duals.
 
     ``diagnosis`` is set only on the graceful-degradation path
     (``on_infeasible="relax"``): the original bounds were infeasible and
@@ -146,12 +143,11 @@ def solve_lubt(
     ----------
     backend:
         ``"auto"`` (size-based simplex/scipy choice, default),
-        ``"simplex"``, ``"scipy"``, or ``"tree"`` — the structure-aware
-        node-potential solver (:mod:`repro.lp.treesolve`) that solves
-        the *entire* Steiner family in one collapsed O(n)-row LP, so the
-        lazy loop converges in a single round; its
-        ``dual_iterations``/``dp_passes``/``restricted_master_rounds``
-        provenance lands in :class:`SolveStats`.
+        ``"simplex"``, ``"scipy"``, or ``"tree"`` — build the collapsed
+        node-potential model (:func:`~repro.ebf.formulation.build_tree_lp`),
+        which enforces the *entire* Steiner family in O(n) rows, straight
+        from ``(topo, bounds)`` and solve it once with HiGHS; ``mode``,
+        ``batch``, ``max_rounds`` and ``warm`` do not apply to it.
     mode:
         ``"lazy"`` (Section 4.6 row generation, default) or ``"full"``
         (all C(m,2) Steiner rows up front).
@@ -252,17 +248,6 @@ def solve_lubt(
 
     reports: list = []
     round_lp_seconds: list[float] = []
-    tree_prov = {
-        "dual_iterations": 0,
-        "dp_passes": 0,
-        "restricted_master_rounds": 0,
-    }
-
-    def _absorb_provenance(result) -> None:
-        p = getattr(result, "provenance", None)
-        if p:
-            for key in tree_prov:
-                tree_prov[key] += int(p.get(key, 0))
 
     def _solve(lp, resolved):
         t0 = time.perf_counter()
@@ -283,7 +268,19 @@ def solve_lubt(
     start = time.perf_counter()
     warm_rows = 0
     try:
-        if mode == "full":
+        if backend == "tree":
+            lp = build_tree_lp(
+                topo, bounds, weights=weights, zero_edges=zero_edges
+            )
+            if validate == "strict":
+                _check_built_lp(lp)
+            result = _solve(lp, "scipy").require_optimal()
+            e = edges_from_potentials(topo, result.x, zero_edges)
+            # The caller sees edge lengths from the tree backend; the
+            # collapsed rows' duals say nothing about the EBF rows.
+            result = replace(result, x=e[1:], backend="tree", duals=None)
+            rounds, iters, pairs = 1, result.iterations, []
+        elif mode == "full":
             pairs = list(all_sink_pairs(topo))
             lp = build_ebf_lp(
                 topo, bounds, weights=weights, pairs=pairs,
@@ -292,7 +289,6 @@ def solve_lubt(
             if validate == "strict":
                 _check_built_lp(lp)
             result = _solve(lp, backend).require_optimal()
-            _absorb_provenance(result)
             e = expand_edge_vector(topo, result.x)
             rounds, iters = 1, result.iterations
         else:
@@ -335,7 +331,6 @@ def solve_lubt(
             discovered: list[tuple[int, int, int]] = []
             for rounds in range(1, max_rounds + 1):
                 result = _solve(lp, resolved).require_optimal()
-                _absorb_provenance(result)
                 iters += result.iterations
                 e = expand_edge_vector(topo, result.x)
                 violated = steiner_violations(
@@ -399,9 +394,6 @@ def solve_lubt(
         lp_seconds=sum(round_lp_seconds),
         round_lp_seconds=tuple(round_lp_seconds),
         warm_rows=warm_rows,
-        dual_iterations=tree_prov["dual_iterations"],
-        dp_passes=tree_prov["dp_passes"],
-        restricted_master_rounds=tree_prov["restricted_master_rounds"],
     )
     return LubtSolution(
         topo,

@@ -61,14 +61,6 @@ def _levels(topo: Topology) -> list[np.ndarray]:
     return np.split(order, splits)
 
 
-def _parents_array(topo: Topology) -> np.ndarray:
-    """Parent ids as an int array (entry 0 is a self-loop placeholder)."""
-    par = np.zeros(topo.num_nodes, dtype=np.int64)
-    for i in range(1, topo.num_nodes):
-        par[i] = topo.parent(i)  # type: ignore[assignment]
-    return par
-
-
 def _first_in_order(order, problem: np.ndarray) -> int:
     for k in order:
         if problem[k]:
@@ -108,7 +100,7 @@ def feasible_bounds(topo: Topology, edge_lengths) -> np.ndarray:
     fb[is_sink, _VLO] = sv[is_sink]
     fb[is_sink, _VHI] = sv[is_sink]
 
-    par = _parents_array(topo)
+    par = topo.parent_array()
     levels = _levels(topo)
     # Deepest level first: when level d is processed every node there is
     # final, and its expanded box folds into its (depth d-1) parent.
@@ -184,7 +176,7 @@ def place_xy(
         xy[0, 0] = (u0 - v0) / 2.0
         xy[0, 1] = (u0 + v0) / 2.0
 
-    par = _parents_array(topo)
+    par = topo.parent_array()
     any_empty = np.zeros(n, dtype=bool)
     for level in _levels(topo)[1:]:
         c = level

@@ -46,6 +46,27 @@ class Sense(Enum):
 _RANGE_COLLAPSE_RTOL = 1e-9
 
 
+def collapse_noisy_range(lo: float, hi: float, name: str = "") -> float:
+    """The equality value for a range ``[lo, hi]`` inverted only by float
+    noise (e.g. an interpolated upper bound landing 1 ulp below an exact
+    lower floor): the midpoint, announced as ``BD006`` — a silent collapse
+    hides upstream bound bugs.  A real inversion raises ``ValueError``."""
+    if lo - hi > _RANGE_COLLAPSE_RTOL * max(1.0, abs(lo), abs(hi)):
+        raise ValueError(f"range constraint {name!r}: lo {lo} > hi {hi}")
+    from repro.check.diagnostics import Diagnostic, emit
+
+    mid = 0.5 * (lo + hi)
+    emit(
+        Diagnostic(
+            "BD006",
+            f"range [{lo!r}, {hi!r}] inverted by float noise; "
+            f"collapsed to equality at {mid!r}",
+            locus=f"row {name!r}" if name else "row",
+        )
+    )
+    return mid
+
+
 def _empty_split_cache() -> dict:
     return {
         "rows_done": 0,
@@ -212,26 +233,7 @@ class LinearProgram:
         ``lo == hi`` emits a single equality.
         """
         if lo > hi:
-            if lo - hi <= _RANGE_COLLAPSE_RTOL * max(1.0, abs(lo), abs(hi)):
-                # Inverted only by floating-point noise (e.g. an
-                # interpolated upper bound landing 1 ulp below an exact
-                # lower floor): collapse to equality at the midpoint, and
-                # say so — a silent collapse hides upstream bound bugs.
-                from repro.check.diagnostics import Diagnostic, emit
-
-                emit(
-                    Diagnostic(
-                        "BD006",
-                        f"range [{lo!r}, {hi!r}] inverted by float noise; "
-                        f"collapsed to equality at {0.5 * (lo + hi)!r}",
-                        locus=f"row {name!r}" if name else "row",
-                    )
-                )
-                lo = hi = 0.5 * (lo + hi)
-            else:
-                raise ValueError(
-                    f"range constraint {name!r}: lo {lo} > hi {hi}"
-                )
+            lo = hi = collapse_noisy_range(lo, hi, name)
         items = list(coeffs.items() if isinstance(coeffs, Mapping) else coeffs)
         if lo == hi and math.isfinite(lo):
             return (self.add_constraint(items, Sense.EQ, lo, name),)

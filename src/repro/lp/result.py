@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,11 +62,6 @@ class LpResult:
     message, simplex limit note) so non-optimal outcomes stay explicable
     downstream.
 
-    ``provenance`` is optional backend-specific counters describing *how*
-    the answer was computed — the tree backend records
-    ``dual_iterations`` / ``dp_passes`` / ``restricted_master_rounds``
-    here, which :class:`~repro.ebf.SolveStats` aggregates and
-    :meth:`~repro.resilience.SolveReport.summary` renders.
     """
 
     status: LpStatus
@@ -77,7 +71,6 @@ class LpResult:
     backend: str
     duals: np.ndarray | None = None
     message: str | None = None
-    provenance: Mapping[str, int] | None = None
 
     @property
     def is_optimal(self) -> bool:

@@ -83,11 +83,12 @@ class Topology:
         # immutable, so they never invalidate): binary-lifting ancestors,
         # per-subtree sink lists, rotated sink coordinates, and the
         # root-path edge-incidence matrix used by the vectorized
-        # Steiner-row builder.
+        # Steiner-row builder, and the parent-id array.
         self._lift: list[list[int]] | None = None
         self._sinks_under: list[list[int]] | None = None
         self._sink_uv: tuple[np.ndarray, np.ndarray] | None = None
         self._incidence = None
+        self._parent_array: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # shape accessors
@@ -138,6 +139,15 @@ class Topology:
 
     def parent(self, i: int) -> int | None:
         return self._parents[i]
+
+    def parent_array(self) -> np.ndarray:
+        """Parent ids as an int array (entry 0, the root, holds 0);
+        memoized (read-only)."""
+        if self._parent_array is None:
+            self._parent_array = np.array(
+                (0, *self._parents[1:]), dtype=np.int64
+            )
+        return self._parent_array
 
     def children(self, i: int) -> tuple[int, ...]:
         return tuple(self._children[i])

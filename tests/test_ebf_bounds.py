@@ -102,6 +102,29 @@ class TestValidityCheck:
         with pytest.raises(BoundsError):
             DelayBounds.uniform(3, 0.0, 10.0).check(topo)
 
+    @pytest.mark.parametrize("source", [Point(0, 0), None], ids=["eq3", "eq4"])
+    @pytest.mark.parametrize("slack, ok", [(0.5, True), (2.0, False)])
+    def test_check_and_bd005_share_one_floor(self, source, slack, ok):
+        """``check`` and the static BD005 rule accept and reject the same
+        uppers, right at the float-noise tolerance below the floor."""
+        from repro.check.bounds_checks import check_bounds
+        from repro.ebf.bounds import FLOOR_TOL, upper_floor
+
+        pts = [Point(4, 3), Point(-2, 6), Point(5, -1)]
+        topo = nearest_neighbor_topology(pts, source)
+        floor = upper_floor(topo)
+        upper = floor + 1.0
+        upper[1] = floor[1] - slack * FLOOR_TOL
+        bounds = DelayBounds(np.zeros(3), upper)
+        bd005 = [d.locus for d in check_bounds(bounds, topo) if d.code == "BD005"]
+        if ok:
+            bounds.check(topo)
+            assert bd005 == []
+        else:
+            with pytest.raises(BoundsError, match=r"Eq\. [34]"):
+                bounds.check(topo)
+            assert bd005 == ["sink 2"]
+
 
 class TestSatisfaction:
     def test_satisfied_by(self):

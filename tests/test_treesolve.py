@@ -17,6 +17,7 @@ from repro.check import check_instance
 from repro.data import load_benchmark, synth_instance
 from repro.ebf import DelayBounds, build_ebf_lp, solve_lubt
 from repro.ebf.bounds import radius_of
+from repro.ebf.constraints import steiner_violations
 from repro.ebf.sweep import canonical_cost
 from repro.geometry import Point
 from repro.lp import (
@@ -111,12 +112,13 @@ class TestCanonicalParity:
         bench = load_benchmark(bench_name).scaled(48)
         topo = nearest_neighbor_topology(list(bench.sinks), bench.source)
         bounds = DelayBounds.normalized(topo, 0.8, 1.2)
-        tree, ref = _solve_pair(topo, bounds)
+        # Strict mode also vets each assembled LP, the collapsed one too.
+        tree, ref = _solve_pair(topo, bounds, validate="strict")
         assert canonical_cost(tree.cost) == canonical_cost(ref.cost)
 
     def test_synth_instance_parity(self):
         topo, bounds = synth_instance(96, 11, kind="clustered")
-        tree, ref = _solve_pair(topo, bounds)
+        tree, ref = _solve_pair(topo, bounds, validate="strict")
         assert canonical_cost(tree.cost) == canonical_cost(ref.cost)
 
 
@@ -283,38 +285,103 @@ class TestResilienceIntegration:
         assert canonical_cost(report.result.objective) == canonical_cost(ref.cost)
 
 
-class TestProvenance:
-    def test_tree_stats_populated(self):
-        topo = random_topo(24, 8, fixed=True)
-        sol = solve_lubt(topo, DelayBounds.normalized(topo, 0.8, 1.2))
-        tree = solve_lubt(
-            topo, DelayBounds.normalized(topo, 0.8, 1.2), backend="tree"
+class TestBenchCrossCheckContract:
+    """The end-to-end benchmark certifies every returned tree by
+    re-solving the flat EBF LP restricted to the Steiner rows active at
+    that tree with a second backend (``"tree"`` for generic solves,
+    ``"scipy"`` for tree solves) and demanding the same canonical cost."""
+
+    ACTIVE_SLACK = 1e-4
+
+    def _restricted(self, topo, bounds, sol):
+        active = steiner_violations(
+            topo, sol.edge_lengths, tol=-self.ACTIVE_SLACK
         )
-        assert tree.stats.backend == "tree"
-        assert tree.stats.dual_iterations > 0
-        assert tree.stats.dp_passes > 0
-        assert tree.stats.restricted_master_rounds == tree.stats.rounds
-        # Generic backends carry no tree provenance.
-        assert sol.stats.restricted_master_rounds == 0
-        assert canonical_cost(tree.cost) == canonical_cost(sol.cost)
+        return build_ebf_lp(topo, bounds, pairs=[(i, j) for i, j, _ in active])
 
-    def test_lp_result_provenance_mapping(self):
-        topo = random_topo(12, 13)
-        lp = build_ebf_lp(topo, DelayBounds.normalized(topo, 0.8, 1.3))
-        res = solve_lp(lp, "tree")
-        assert res.provenance is not None
-        assert set(res.provenance) == {
-            "dual_iterations",
-            "dp_passes",
-            "restricted_master_rounds",
-        }
-        assert res.provenance["restricted_master_rounds"] == 1
+    @pytest.mark.parametrize(
+        "m, program", [(6, "simplex"), (64, "scipy")], ids=["6-simplex", "64-scipy"]
+    )
+    def test_tree_certifies_generic_solve(self, m, program):
+        topo, bounds = synth_instance(m, 5)
+        sol = solve_lubt(topo, bounds, backend=program)
+        res = solve_lp(self._restricted(topo, bounds, sol), "tree")
+        assert res.backend == "tree"
+        assert canonical_cost(res.require_optimal().objective) == canonical_cost(
+            sol.cost
+        )
 
-    def test_report_summary_renders_provenance(self):
-        topo = random_topo(12, 13)
-        lp = build_ebf_lp(topo, DelayBounds.normalized(topo, 0.8, 1.3))
-        report = solve_lp_resilient(lp, ["tree"])
-        assert "dual_iterations=" in report.summary()
+    @pytest.mark.parametrize("m", [6, 64])
+    def test_scipy_certifies_tree_solve(self, m):
+        topo, bounds = synth_instance(m, 5)
+        sol = solve_lubt(topo, bounds, backend="tree")
+        assert sol.stats.backend == "tree"
+        res = solve_lp(self._restricted(topo, bounds, sol), "scipy")
+        assert canonical_cost(res.require_optimal().objective) == canonical_cost(
+            sol.cost
+        )
+
+
+class TestDirectTreePath:
+    """``solve_lubt(backend="tree")`` builds the collapsed model from
+    ``(topology, bounds)`` and solves it once, through the same LP seam
+    as every other backend."""
+
+    def test_no_flat_lp_or_lazy_round(self, monkeypatch):
+        import repro.ebf.solver as solver
+
+        topo, bounds = synth_instance(48, 3)
+        ref = solve_lubt(topo, bounds, backend="scipy")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the tree path must not build the flat LP")
+
+        monkeypatch.setattr(solver, "build_ebf_lp", forbidden)
+        monkeypatch.setattr(solver, "seed_constraint_pairs", forbidden)
+        monkeypatch.setattr(solver, "add_steiner_rows", forbidden)
+        scans = []
+        real_scan = solver.steiner_violations
+        monkeypatch.setattr(
+            solver,
+            "steiner_violations",
+            lambda *a, **k: scans.append(1) or real_scan(*a, **k),
+        )
+        sol = solve_lubt(topo, bounds, backend="tree")
+        assert len(scans) == 1  # the exact post-validation only
+        assert (sol.stats.backend, sol.stats.rounds) == ("tree", 1)
+        assert sol.stats.steiner_rows == sol.stats.warm_rows == 0
+        assert canonical_cost(sol.cost) == canonical_cost(ref.cost)
+
+    def test_resilient_timeout_exhausts_chain_without_threads(self):
+        import threading
+
+        from repro.resilience import AllBackendsFailedError, AttemptOutcome
+
+        topo, bounds = synth_instance(256, 7)
+        before = set(threading.enumerate())
+        with pytest.raises(AllBackendsFailedError) as err:
+            solve_lubt(
+                topo, bounds, backend="tree", resilient=True, lp_timeout=1e-6
+            )
+        assert set(threading.enumerate()) == before
+        outcomes = [a.outcome for a in err.value.report.attempts]
+        assert AttemptOutcome.TIMEOUT in outcomes
+
+    def test_resilient_solve_reports(self):
+        topo, bounds = synth_instance(32, 2)
+        sol = solve_lubt(topo, bounds, backend="tree", resilient=True)
+        [report] = sol.solve_reports
+        assert report.result.backend.startswith("scipy")
+        assert sol.stats.backend == "tree"
+        ref = solve_lubt(topo, bounds, backend="scipy")
+        assert canonical_cost(sol.cost) == canonical_cost(ref.cost)
+
+    def test_sensitivities_refuse_tree_backend(self):
+        from repro.analysis.sensitivity import delay_sensitivities
+
+        topo, bounds = synth_instance(12, 4)
+        with pytest.raises(ValueError, match="does not report duals"):
+            delay_sensitivities(topo, bounds, backend="tree")
 
 
 class TestServerIntegration:
