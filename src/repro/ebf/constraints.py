@@ -32,6 +32,12 @@ def sink_pair_count(topo: Topology) -> int:
     return m * (m - 1) // 2
 
 
+def pair_key(i: int, j: int) -> tuple[int, int]:
+    """Orientation-normalized sink pair: ``(i, j)`` and ``(j, i)`` name
+    the same Steiner row."""
+    return (i, j) if i < j else (j, i)
+
+
 def _lca_groups(topo: Topology) -> Iterator[tuple[int, list[list[int]]]]:
     """Yield ``(node, sink_groups)`` covering every sink pair exactly once.
 

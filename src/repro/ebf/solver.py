@@ -1,9 +1,12 @@
-"""The LUBT solver: EBF LP + (optional) lazy constraint generation.
+"""The LUBT solver: EBF LP + Section 4.6 row generation.
 
-``mode="full"`` builds all C(m,2) Steiner rows up front — the literal
-formulation of Section 4.3.  ``mode="lazy"`` implements the Section 4.6
-constraint reduction as sound row generation: seed with the farthest cross
-pair per branching node, solve, add violated rows, repeat.  Both modes end
+:func:`generate_rows` is the paper's constraint reduction as sound row
+generation: solve, add the most violated Steiner rows not yet in the
+model, repeat until a scan finds nothing new.  ``mode="lazy"`` seeds it
+with the farthest cross pair per branching node; ``mode="full"`` seeds it
+with all C(m,2) pairs — the literal formulation of Section 4.3 — so its
+first scan finds nothing new.  The elastic infeasibility diagnosis
+(:mod:`repro.resilience.elastic`) runs the same loop.  Every solve ends
 with an exact all-pairs violation check, so a returned solution always
 satisfies *every* Steiner constraint; by LP optimality it is the minimum
 cost LUBT for the topology (Theorem 4.2).  ``backend="tree"`` needs no row
@@ -21,6 +24,7 @@ from repro.delay import sink_delays_linear, tree_cost
 from repro.ebf.bounds import BoundsError, DelayBounds
 from repro.ebf.constraints import (
     all_sink_pairs,
+    pair_key,
     seed_constraint_pairs,
     steiner_violations,
 )
@@ -50,21 +54,14 @@ class SolveStats:
     wall_seconds: float
     #: Extra LP attempts (retries + backend switches) under resilient mode.
     lp_fallbacks: int = 0
-    #: Wall-clock spent inside LP backends, total and per lazy round.
+    #: Wall-clock spent inside LP backends, summed over rounds.
     lp_seconds: float = 0.0
-    round_lp_seconds: tuple[float, ...] = ()
     #: Steiner rows seeded from a :class:`~repro.ebf.sweep.WarmStart`
     #: carry-over before the first LP solve (lazy mode only).
     warm_rows: int = 0
     #: Wall-clock of the embedding stage.  The solver itself never embeds;
     #: :func:`repro.embedding.solve_and_embed` stamps this in afterwards.
     embed_seconds: float = 0.0
-
-    @property
-    def assembly_seconds(self) -> float:
-        """Non-LP time inside the solve: row generation, violation scans,
-        bookkeeping (embedding excluded — it happens after the solve)."""
-        return max(0.0, self.wall_seconds - self.lp_seconds)
 
 
 @dataclass(frozen=True)
@@ -113,6 +110,96 @@ class LubtSolution:
         return float(self.delays.max())
 
 
+#: Round cap of :func:`generate_rows`.  Every round adds at least one new
+#: row, so the loop always ends; the cap turns a starved batch on a large
+#: net into an error instead of thousands of LP solves.
+MAX_ROUNDS = 60
+
+
+def seed_pairs(topo, mode: str) -> list[tuple[int, int]]:
+    """The Steiner pairs row generation starts from: every sink pair
+    (``"full"``, Section 4.3) or the farthest cross pair per branching
+    node (``"lazy"``, Section 4.6)."""
+    if mode == "full":
+        return list(all_sink_pairs(topo))
+    if mode == "lazy":
+        return seed_constraint_pairs(topo)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def generate_rows(lp, topo, pairs, solve, *, batch, warm=None):
+    """Section 4.6 row generation on ``lp``, which holds the Steiner rows
+    of ``pairs`` and has the edge lengths as its first ``n - 1`` columns.
+
+    Each round solves with ``solve(lp)``, scans for the ``batch`` most
+    violated Steiner pairs, drops those already in ``pairs``, appends the
+    rest sorted by ``(-violation, i, j)`` and repeats until a scan finds
+    nothing new.  ``pairs`` grows in place.  ``warm`` (a
+    :class:`~repro.ebf.sweep.WarmStart`) adds its carried rows before the
+    first solve and absorbs the rows this run discovered once it
+    converges — sound because Steiner rows depend only on the topology.
+
+    Returns ``(result, edges, rounds, iterations, warm_rows)``: the last
+    round's optimal LP answer, its edge lengths indexed by node id, the
+    round count, LP iterations summed over rounds, and the number of
+    rows carried in from ``warm``.  Raises :class:`RuntimeError` after
+    :data:`MAX_ROUNDS` rounds.
+    """
+    # Already-added pairs, orientation-normalized: violation tolerance
+    # jitter must not append duplicate Steiner rows.
+    seen = {pair_key(i, j) for i, j in pairs}
+
+    def add(rows):
+        add_steiner_rows(lp, topo, rows)
+        seen.update(pair_key(i, j) for i, j, _ in rows)
+        pairs.extend((i, j) for i, j, _ in rows)
+
+    carried = []
+    if warm is not None:
+        carried = [
+            (i, j, k)
+            for i, j, k in warm.pairs_for(topo)
+            if pair_key(i, j) not in seen
+        ]
+        if carried:
+            add(carried)
+    n_edges = topo.num_nodes - 1
+    iterations = 0
+    discovered: list[tuple[int, int, int]] = []
+    for rounds in range(1, MAX_ROUNDS + 1):
+        result = solve(lp).require_optimal()
+        iterations += result.iterations
+        e = expand_edge_vector(topo, result.x[:n_edges])
+        picked = [
+            (i, j, k, v)
+            for i, j, k, v in steiner_violations(
+                topo, e, _VIOLATION_TOL, limit=batch, with_lca=True
+            )
+            if pair_key(i, j) not in seen
+        ]
+        if not picked:
+            # Either no violations, or every violated pair is already a
+            # row (sub-tolerance LP slack); re-adding identical rows
+            # cannot change the optimum, and solve_lubt's exact
+            # post-validation still guards its result.
+            break
+        # Total order on the batch: the scan's tie order is an
+        # implementation detail, and row append order decides which
+        # degenerate optimum vertex the backend returns — sort so reruns
+        # are bit-reproducible.
+        picked.sort(key=lambda t: (-t[3], t[0], t[1]))
+        fresh = [(i, j, k) for i, j, k, _ in picked]
+        add(fresh)
+        discovered += fresh
+    else:
+        raise RuntimeError(
+            f"Steiner row generation did not converge in {MAX_ROUNDS} rounds"
+        )
+    if warm is not None:
+        warm.absorb(topo, discovered)
+    return result, e, rounds, iterations, len(carried)
+
+
 def solve_lubt(
     topo,
     bounds: DelayBounds,
@@ -122,7 +209,6 @@ def solve_lubt(
     backend: str = "auto",
     mode: str = "lazy",
     batch: int = 4000,
-    max_rounds: int = 60,
     check_bounds: bool = True,
     validate: bool | str = True,
     keep_lp: bool = False,
@@ -147,12 +233,13 @@ def solve_lubt(
         node-potential model (:func:`~repro.ebf.formulation.build_tree_lp`),
         which enforces the *entire* Steiner family in O(n) rows, straight
         from ``(topo, bounds)`` and solve it once with HiGHS; ``mode``,
-        ``batch``, ``max_rounds`` and ``warm`` do not apply to it.
+        ``batch`` and ``warm`` do not apply to it.
     mode:
-        ``"lazy"`` (Section 4.6 row generation, default) or ``"full"``
-        (all C(m,2) Steiner rows up front).
+        The :func:`generate_rows` seed: ``"lazy"`` (Section 4.6, one
+        pair per branching node, default) or ``"full"`` (all C(m,2)
+        Steiner rows up front, so the loop stops after one round).
     batch:
-        Most-violated rows added per lazy round.
+        Most-violated rows added per row-generation round.
     check_bounds:
         Verify Definition 2.1's Eq. 3/4 validity conditions first.  Turn
         off to probe infeasible bound sets deliberately.
@@ -227,7 +314,6 @@ def solve_lubt(
         backend=backend,
         mode=mode,
         batch=batch,
-        max_rounds=max_rounds,
         validate=validate,
         keep_lp=keep_lp,
         resilient=resilient,
@@ -247,9 +333,10 @@ def solve_lubt(
             return _handle_infeasible(topo, bounds, on_infeasible, retry_kwargs)
 
     reports: list = []
-    round_lp_seconds: list[float] = []
+    lp_seconds = 0.0
 
     def _solve(lp, resolved):
+        nonlocal lp_seconds
         t0 = time.perf_counter()
         try:
             if not resilient:
@@ -263,10 +350,10 @@ def solve_lubt(
             reports.append(report)
             return report.result
         finally:
-            round_lp_seconds.append(time.perf_counter() - t0)
+            lp_seconds += time.perf_counter() - t0
 
     start = time.perf_counter()
-    warm_rows = 0
+    total_pairs = topo.num_sinks * (topo.num_sinks - 1) // 2
     try:
         if backend == "tree":
             lp = build_tree_lp(
@@ -279,96 +366,38 @@ def solve_lubt(
             # The caller sees edge lengths from the tree backend; the
             # collapsed rows' duals say nothing about the EBF rows.
             result = replace(result, x=e[1:], backend="tree", duals=None)
-            rounds, iters, pairs = 1, result.iterations, []
-        elif mode == "full":
-            pairs = list(all_sink_pairs(topo))
-            lp = build_ebf_lp(
-                topo, bounds, weights=weights, pairs=pairs,
-                zero_edges=zero_edges,
-            )
-            if validate == "strict":
-                _check_built_lp(lp)
-            result = _solve(lp, backend).require_optimal()
-            e = expand_edge_vector(topo, result.x)
-            rounds, iters = 1, result.iterations
+            rounds, iters, pairs, warm_rows = 1, result.iterations, [], 0
         else:
-            pairs = seed_constraint_pairs(topo)
+            pairs = seed_pairs(topo, mode)
             lp = build_ebf_lp(
                 topo, bounds, weights=weights, pairs=pairs,
                 zero_edges=zero_edges,
             )
             if validate == "strict":
                 _check_built_lp(lp)
-            # Already-added pairs, orientation-normalized: violation
-            # tolerance jitter must not append duplicate Steiner rows.
-            seen = {(i, j) if i < j else (j, i) for i, j in pairs}
-            if warm is not None:
-                carried = [
-                    (i, j, k)
-                    for i, j, k in warm.pairs_for(topo)
-                    if ((i, j) if i < j else (j, i)) not in seen
-                ]
-                if carried:
-                    add_steiner_rows(lp, topo, carried)
-                    seen.update(
-                        (i, j) if i < j else (j, i) for i, j, _ in carried
-                    )
-                    pairs = pairs + [(i, j) for i, j, _ in carried]
-                    warm_rows = len(carried)
-            total_pairs = topo.num_sinks * (topo.num_sinks - 1) // 2
-            # Resolve "auto" once, against the row count the lazy loop is
-            # heading toward, and stick with it: re-deciding per round
-            # wastes a dense-tableau solve on the small seed LP only to
-            # hand the grown model to scipy next round anyway.
             resolved = backend
-            if backend == "auto":
-                projected = lp.num_constraints + min(
-                    batch, max(0, total_pairs - len(pairs))
-                )
-                resolved = preferred_backend(lp, projected_rows=projected)
-            iters = 0
-            e = None
-            discovered: list[tuple[int, int, int]] = []
-            for rounds in range(1, max_rounds + 1):
-                result = _solve(lp, resolved).require_optimal()
-                iters += result.iterations
-                e = expand_edge_vector(topo, result.x)
-                violated = steiner_violations(
-                    topo, e, _VIOLATION_TOL, limit=batch, with_lca=True
-                )
-                picked = [
-                    (i, j, k, v)
-                    for i, j, k, v in violated
-                    if ((i, j) if i < j else (j, i)) not in seen
-                ]
-                # Total order on the batch (violation desc, then sink ids):
-                # the scan's tie order is an implementation detail, and row
-                # append order decides which degenerate optimum vertex the
-                # backend returns — sort so reruns are bit-reproducible.
-                picked.sort(key=lambda t: (-t[3], t[0], t[1]))
-                fresh = [(i, j, k) for i, j, k, _ in picked]
-                if not fresh:
-                    # Either no violations, or every violated pair is
-                    # already a row (sub-tolerance LP slack); re-adding
-                    # identical rows cannot change the optimum, and the
-                    # exact post-validation still guards the result.
-                    break
-                add_steiner_rows(lp, topo, fresh)
-                seen.update(
-                    (i, j) if i < j else (j, i) for i, j, _ in fresh
-                )
-                pairs += [(i, j) for i, j, _ in fresh]
-                discovered += fresh
-            else:
-                raise RuntimeError(
-                    f"lazy row generation did not converge in "
-                    f"{max_rounds} rounds"
-                )
-            assert e is not None
-            if warm is not None:
-                # Steiner rows are topology facts, so rows found under
-                # these bounds remain valid for every later sweep point.
-                warm.absorb(topo, discovered)
+
+            def _solve_round(model):
+                nonlocal resolved
+                if resolved == "auto":
+                    # Resolve "auto" once, on the first round, against the
+                    # row count the loop is heading toward (``pairs`` now
+                    # holds any warm rows too), and stick with it:
+                    # re-deciding per round wastes a dense-tableau solve on
+                    # the small seed LP only to hand the grown model to
+                    # scipy next round anyway.
+                    projected = model.num_constraints + min(
+                        batch, max(0, total_pairs - len(pairs))
+                    )
+                    resolved = preferred_backend(
+                        model, projected_rows=projected
+                    )
+                return _solve(model, resolved)
+
+            result, e, rounds, iters, warm_rows = generate_rows(
+                lp, topo, pairs, _solve_round, batch=batch,
+                warm=warm if mode == "lazy" else None,
+            )
     except InfeasibleError:
         if on_infeasible == "raise":
             raise
@@ -387,12 +416,11 @@ def solve_lubt(
         mode=mode,
         rounds=rounds,
         steiner_rows=len(pairs),
-        total_pairs=topo.num_sinks * (topo.num_sinks - 1) // 2,
+        total_pairs=total_pairs,
         lp_iterations=iters,
         wall_seconds=wall,
         lp_fallbacks=sum(r.fallbacks_used for r in reports),
-        lp_seconds=sum(round_lp_seconds),
-        round_lp_seconds=tuple(round_lp_seconds),
+        lp_seconds=lp_seconds,
         warm_rows=warm_rows,
     )
     return LubtSolution(
@@ -451,7 +479,6 @@ def _handle_infeasible(topo, bounds, on_infeasible, retry_kwargs):
         backend=retry_kwargs["backend"],
         mode=retry_kwargs["mode"],
         batch=retry_kwargs["batch"],
-        max_rounds=retry_kwargs["max_rounds"],
         resilient=retry_kwargs["resilient"],
         timeout=retry_kwargs["lp_timeout"],
     )

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.ebf.bounds import DelayBounds
+from repro.ebf.constraints import pair_key
 from repro.ebf.solver import LubtSolution, solve_lubt
 
 #: Significant mantissa bits kept by :func:`canonical_cost` — 33 bits is
@@ -92,12 +93,20 @@ class WarmStart:
         """Build a carry-over pre-loaded with rows known valid for the
         topology whose structural hash is ``key`` (server warm store)."""
         ws = cls(key=key)
-        for i, j, k in pairs:
-            nk = (i, j) if i < j else (j, i)
-            if nk not in ws._seen:
-                ws._seen.add(nk)
-                ws.pairs.append((int(i), int(j), int(k)))
+        ws.merge(pairs)
         return ws
+
+    def merge(self, rows: Iterable[tuple[int, int, int]]) -> int:
+        """Append the rows whose orientation-normalized pair is new;
+        returns how many were appended."""
+        fresh = 0
+        for i, j, k in rows:
+            nk = pair_key(i, j)
+            if nk not in self._seen:
+                self._seen.add(nk)
+                self.pairs.append((int(i), int(j), int(k)))
+                fresh += 1
+        return fresh
 
     def _rekey(self, topo) -> None:
         if topo is self.topology:
@@ -119,11 +128,7 @@ class WarmStart:
     def absorb(self, topo, new_pairs: Iterable[tuple[int, int, int]]) -> None:
         """Merge rows a solve discovered; duplicates are dropped."""
         self._rekey(topo)
-        for i, j, k in new_pairs:
-            key = (i, j) if i < j else (j, i)
-            if key not in self._seen:
-                self._seen.add(key)
-                self.pairs.append((i, j, k))
+        self.merge(new_pairs)
         self.solves += 1
 
 

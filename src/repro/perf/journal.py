@@ -31,6 +31,7 @@ Durability and resume semantics:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from typing import Any, Iterator, Mapping
@@ -51,27 +52,14 @@ def solution_to_record(sol: Any) -> dict:
     Stores exactly what experiment tables and batch callers consume:
     edge lengths, cost, delays, and the full :class:`~repro.ebf.SolveStats`.
     The topology and bounds are *not* stored — the instance key already
-    pins them, and the resuming caller supplies the same objects.
+    pins them, and the resuming caller supplies the same objects.  The
+    solve server builds its reply payload from the same record.
     """
-    st = sol.stats
     return {
         "edge_lengths": [float(v) for v in sol.edge_lengths],
         "cost": float(sol.cost),
         "delays": [float(v) for v in sol.delays],
-        "stats": {
-            "backend": st.backend,
-            "mode": st.mode,
-            "rounds": st.rounds,
-            "steiner_rows": st.steiner_rows,
-            "total_pairs": st.total_pairs,
-            "lp_iterations": st.lp_iterations,
-            "wall_seconds": st.wall_seconds,
-            "lp_fallbacks": st.lp_fallbacks,
-            "lp_seconds": st.lp_seconds,
-            "round_lp_seconds": list(st.round_lp_seconds),
-            "warm_rows": st.warm_rows,
-            "embed_seconds": st.embed_seconds,
-        },
+        "stats": dataclasses.asdict(sol.stats),
     }
 
 
@@ -79,23 +67,14 @@ def solution_from_record(record: Mapping[str, Any], topo: Any, bounds: Any):
     """Rebuild a :class:`~repro.ebf.LubtSolution` from a journal record.
 
     ``topo``/``bounds`` come from the caller (the key proved they match).
+    Stats keys :class:`~repro.ebf.SolveStats` no longer has are ignored,
+    so journals written by older versions still resume.
     """
     from repro.ebf.solver import LubtSolution, SolveStats
 
-    st = record["stats"]
+    known = {f.name for f in dataclasses.fields(SolveStats)}
     stats = SolveStats(
-        backend=st["backend"],
-        mode=st["mode"],
-        rounds=int(st["rounds"]),
-        steiner_rows=int(st["steiner_rows"]),
-        total_pairs=int(st["total_pairs"]),
-        lp_iterations=int(st["lp_iterations"]),
-        wall_seconds=float(st["wall_seconds"]),
-        lp_fallbacks=int(st["lp_fallbacks"]),
-        lp_seconds=float(st["lp_seconds"]),
-        round_lp_seconds=tuple(float(v) for v in st["round_lp_seconds"]),
-        warm_rows=int(st["warm_rows"]),
-        embed_seconds=float(st["embed_seconds"]),
+        **{k: v for k, v in record["stats"].items() if k in known}
     )
     return LubtSolution(
         topo,

@@ -43,6 +43,10 @@ Backend = Callable[..., LpResult]
 #: EBF-built models a structure-aware lane in the cascade.
 DEFAULT_CHAIN = ("simplex", "scipy", "tree")
 
+#: Feasibility tolerance an "optimal" answer is validated against,
+#: scaled by ``1 + max |rhs|`` of the model.
+FEASIBILITY_TOL = 1e-6
+
 _STATUS_TO_OUTCOME = {
     LpStatus.OPTIMAL: AttemptOutcome.OPTIMAL,
     LpStatus.INFEASIBLE: AttemptOutcome.INFEASIBLE,
@@ -176,9 +180,6 @@ def solve_lp_resilient(
     solvers: Mapping[str, Backend] | None = None,
     timeout: float | None = None,
     rescale_retry: bool | str = True,
-    confirm_infeasible: bool = False,
-    raise_on_failure: bool = True,
-    feasibility_tol: float = 1e-6,
     breakers: BreakerRegistry | None = None,
 ) -> SolveReport:
     """Solve ``lp`` through a backend cascade; never die on one backend.
@@ -206,13 +207,6 @@ def solve_lp_resilient(
         is actually badly scaled — a numerical failure on a well-scaled
         model falls through to the next backend immediately instead of
         paying for a rescaled attempt that cannot help.
-    confirm_infeasible:
-        Treat an INFEASIBLE verdict from a non-final backend as suspect
-        and seek a second opinion; a later OPTIMAL overrides it.
-    raise_on_failure:
-        Raise :class:`AllBackendsFailedError` (carrying the report) when
-        no backend produced a definitive result; otherwise return the
-        report with ``result=None``.
     breakers:
         Optional :class:`~repro.resilience.breaker.BreakerRegistry`.
         When given, an open-circuited backend is skipped outright (a
@@ -224,8 +218,8 @@ def solve_lp_resilient(
         is a permanent fact about the model's shape, not backend health.
 
     Returns the :class:`SolveReport`; ``report.result`` is the terminal
-    :class:`LpResult`.  Feasibility validation uses ``feasibility_tol``
-    scaled by the model's rhs magnitude.
+    :class:`LpResult`.  Raises :class:`AllBackendsFailedError` (carrying
+    the report) when no backend produced a definitive result.
     """
     if rescale_retry not in (True, False, "auto"):
         raise ValueError(f"unknown rescale_retry mode {rescale_retry!r}")
@@ -254,14 +248,13 @@ def solve_lp_resilient(
     rhs_mag = max(
         (abs(lp.row(i)[2]) for i in range(lp.num_constraints)), default=0.0
     )
-    feas_tol = feasibility_tol * (1.0 + rhs_mag)
+    feas_tol = FEASIBILITY_TOL * (1.0 + rhs_mag)
 
     limit = {} if timeout is None else {"time_limit": timeout}
     report = SolveReport()
     scaled_pair: tuple[LinearProgram, float] | None = None
-    pending_infeasible: LpResult | None = None
 
-    for pos, name in enumerate(chain):
+    for name in chain:
         if breakers is not None and not breakers.allow(name):
             _breaker_skip(report, name)
             continue
@@ -308,14 +301,6 @@ def solve_lp_resilient(
             ))
             _breaker_record(breakers, name, outcome)
             if outcome in AttemptOutcome.TERMINAL:
-                if (
-                    outcome is AttemptOutcome.INFEASIBLE
-                    and confirm_infeasible
-                    and pos < len(chain) - 1
-                ):
-                    if pending_infeasible is None:
-                        pending_infeasible = result
-                    break  # seek a second opinion
                 report.result = result
                 if breakers is not None:
                     report.breaker_states = breakers.states()
@@ -331,10 +316,4 @@ def solve_lp_resilient(
 
     if breakers is not None:
         report.breaker_states = breakers.states()
-    if pending_infeasible is not None:
-        # Only one backend could weigh in; its verdict stands.
-        report.result = pending_infeasible
-        return report
-    if raise_on_failure:
-        raise AllBackendsFailedError(report)
-    return report
+    raise AllBackendsFailedError(report)

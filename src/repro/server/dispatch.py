@@ -41,8 +41,8 @@ from typing import Any, Mapping
 from repro.data.instance_json import instance_from_dict
 from repro.ebf.bounds import DelayBounds
 from repro.ebf.sweep import WarmStart, canonical_cost
+from repro.perf.journal import solution_to_record
 from repro.resilience.breaker import BreakerRegistry, default_registry
-from repro.resilience.report import SolveReport
 from repro.resilience.sanitize import StallMonitor
 from repro.server.cache import LruCache
 from repro.server.keys import instance_key
@@ -80,7 +80,6 @@ ALLOWED_OPTIONS = frozenset(
         "mode",
         "backend",
         "batch",
-        "max_rounds",
         "check_bounds",
         "validate",
         "resilient",
@@ -147,25 +146,10 @@ def _solve_job(
         topo, bounds, warm=ws, breakers=breakers, solvers=solvers,
         **options,
     )
-    stats = sol.stats
-    payload = {
-        "cost": float(sol.cost),
-        "canonical_cost": canonical_cost(float(sol.cost)),
-        "edge_lengths": [float(v) for v in sol.edge_lengths],
-        "delays": [float(v) for v in sol.delays],
+    payload = solution_to_record(sol)
+    payload.update({
+        "canonical_cost": canonical_cost(payload["cost"]),
         "skew": float(sol.skew),
-        "stats": {
-            "backend": stats.backend,
-            "mode": stats.mode,
-            "rounds": stats.rounds,
-            "steiner_rows": stats.steiner_rows,
-            "total_pairs": stats.total_pairs,
-            "lp_iterations": stats.lp_iterations,
-            "wall_seconds": stats.wall_seconds,
-            "lp_seconds": stats.lp_seconds,
-            "lp_fallbacks": stats.lp_fallbacks,
-            "warm_rows": stats.warm_rows,
-        },
         "attempts": [
             {
                 "backend": a.backend,
@@ -176,7 +160,7 @@ def _solve_job(
             for a in rep.attempts
         ],
         "relaxed": sol.diagnosis is not None,
-    }
+    })
     if breakers is not None:
         payload["breakers"] = breakers.snapshot()
     return payload, list(ws.pairs)
@@ -274,8 +258,6 @@ class SolveServer:
         self.last_stall_stats: dict[str, Any] | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stop = asyncio.Event()
-        #: Provenance reports of the most recent requests (telemetry).
-        self.recent_reports: list[SolveReport] = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -533,10 +515,6 @@ class SolveServer:
         )
 
     def _cache_reply(self, key: str, cached: dict) -> dict[str, Any]:
-        self._record_report(
-            SolveReport(instance_key=key, cache_hit=True,
-                        warm_rows=cached["stats"]["warm_rows"])
-        )
         return {
             "instance_key": key,
             "cache_hit": True,
@@ -605,10 +583,6 @@ class SolveServer:
         self._merge_breakers(payload.pop("breakers", None))
         self.warm.absorb(tkey, pairs)
         self.cache.put(key, payload)
-        self._record_report(
-            SolveReport(instance_key=key, cache_hit=False,
-                        warm_rows=payload["stats"]["warm_rows"])
-        )
         return {
             "instance_key": key,
             "cache_hit": False,
@@ -645,10 +619,6 @@ class SolveServer:
             else "failed"
         )
         raise RuntimeError(f"pooled solve {kind}: {outcome.error}")
-
-    def _record_report(self, report: SolveReport) -> None:
-        self.recent_reports.append(report)
-        del self.recent_reports[:-64]
 
     def _stats_reply(self, req_id: Any) -> dict[str, Any]:
         uptime = (

@@ -22,61 +22,49 @@ Pair = tuple[int, int, int]
 
 
 class WarmStore:
-    """Accumulated active Steiner rows per topology hash (thread-safe)."""
+    """A locked, bounded map from topology hash to the
+    :class:`~repro.ebf.WarmStart` accumulating that topology's rows."""
 
     def __init__(self, max_topologies: int = 512):
         if max_topologies < 1:
             raise ValueError("max_topologies must be >= 1")
         self._max = max_topologies
-        self._rows: dict[str, list[Pair]] = {}
-        self._seen: dict[str, set[tuple[int, int]]] = {}
+        self._warm: dict[str, WarmStart] = {}
         self._lock = threading.Lock()
         self.absorbed = 0
 
     def pairs(self, key: str) -> list[Pair]:
         """A snapshot of the carried rows for ``key`` (possibly empty)."""
         with self._lock:
-            return list(self._rows.get(key, ()))
-
-    def warm_for(self, key: str) -> WarmStart:
-        """A fresh :class:`WarmStart` pre-seeded with the stored rows."""
-        return WarmStart.seeded(key, self.pairs(key))
+            ws = self._warm.get(key)
+            return [] if ws is None else list(ws.pairs)
 
     def absorb(self, key: str, pairs: Iterable[Pair]) -> int:
-        """Merge rows a solve discovered; returns the fresh-row count.
-
-        Dedup is by orientation-normalized ``(i, j)`` — the same rule
-        the lazy loop and ``WarmStart`` use — so replayed rows are free.
-        """
-        fresh = 0
+        """Merge rows a solve discovered (deduped by
+        :meth:`WarmStart.merge`, so replayed rows are free); returns the
+        fresh-row count."""
         with self._lock:
-            if key not in self._rows:
+            ws = self._warm.get(key)
+            if ws is None:
                 # Bound total memory: drop the whole store rather than
                 # track per-topology recency — warm rows are a pure
                 # optimization, rebuilding them costs one cold solve.
-                if len(self._rows) >= self._max:
-                    self._rows.clear()
-                    self._seen.clear()
-                self._rows[key] = []
-                self._seen[key] = set()
-            rows, seen = self._rows[key], self._seen[key]
-            for i, j, k in pairs:
-                nk = (i, j) if i < j else (j, i)
-                if nk not in seen:
-                    seen.add(nk)
-                    rows.append((int(i), int(j), int(k)))
-                    fresh += 1
+                if len(self._warm) >= self._max:
+                    self._warm.clear()
+                ws = self._warm[key] = WarmStart(key=key)
+            fresh = ws.merge(pairs)
             self.absorbed += fresh
         return fresh
 
     def rows(self, key: str) -> int:
         with self._lock:
-            return len(self._rows.get(key, ()))
+            ws = self._warm.get(key)
+            return 0 if ws is None else len(ws.pairs)
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
-                "topologies": len(self._rows),
-                "total_rows": sum(len(r) for r in self._rows.values()),
+                "topologies": len(self._warm),
+                "total_rows": sum(len(w.pairs) for w in self._warm.values()),
                 "absorbed": self.absorbed,
             }

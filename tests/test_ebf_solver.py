@@ -276,3 +276,77 @@ class TestSolutionObject:
     def test_invalid_mode(self, fig3):
         with pytest.raises(ValueError):
             solve_lubt(fig3, DelayBounds.uniform(5, 4, 6), mode="eager")
+
+
+def _scan_counter(monkeypatch):
+    """Count the row-generation loop's violation scans (the exact
+    post-validation scan asks for no LCAs, so it is not counted)."""
+    import repro.ebf.solver as solver_mod
+
+    calls = []
+    real = solver_mod.steiner_violations
+
+    def counting(*args, **kwargs):
+        if kwargs.get("with_lca"):
+            calls.append(kwargs.get("limit"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "steiner_violations", counting)
+    return calls
+
+
+class TestRowGenerationLoop:
+    """Both modes and the elastic diagnosis run one Section 4.6 loop."""
+
+    def _instance(self, m=14, seed=7):
+        topo = random_topo(m, seed)
+        r = radius_of(topo)
+        return topo, DelayBounds.uniform(m, 0.8 * r, 1.3 * r)
+
+    def test_full_mode_is_the_loop_seeded_with_every_pair(self, monkeypatch):
+        from repro.ebf import canonical_cost
+
+        topo, bounds = self._instance()
+        scans = _scan_counter(monkeypatch)
+        full = solve_lubt(topo, bounds, mode="full")
+        assert scans == [4000]  # one loop scan, which finds nothing new
+        m = topo.num_sinks
+        assert full.stats.rounds == 1
+        assert full.stats.steiner_rows == m * (m - 1) // 2
+        lazy = solve_lubt(topo, bounds, mode="lazy")
+        assert len(scans) == 1 + lazy.stats.rounds
+        assert canonical_cost(full.cost) == canonical_cost(lazy.cost)
+
+    def test_full_mode_neither_reads_nor_absorbs_warm(self):
+        from repro.ebf import WarmStart
+
+        topo, bounds = self._instance()
+        warm = WarmStart()
+        solve_lubt(topo, bounds, warm=warm)
+        carried, solves = list(warm.pairs), warm.solves
+        assert carried  # the lazy solve discovered rows beyond its seeds
+        full = solve_lubt(topo, bounds, mode="full", warm=warm)
+        assert full.stats.warm_rows == 0
+        assert warm.solves == solves and warm.pairs == carried
+
+    def test_diagnosis_runs_through_the_loop(self, monkeypatch):
+        from repro.resilience import diagnose_infeasibility
+
+        topo, bounds = self._instance()
+        scans = _scan_counter(monkeypatch)
+        diagnose_infeasibility(topo, bounds, batch=3)
+        assert scans and set(scans) == {3}
+
+    def test_round_cap_applies_to_every_caller(self, monkeypatch):
+        import repro.ebf.solver as solver_mod
+        from repro.resilience import diagnose_infeasibility
+
+        topo = random_topo(30, 4)
+        r = radius_of(topo)
+        bounds = DelayBounds.uniform(30, 0.0, 2 * r)
+        assert solve_lubt(topo, bounds, batch=1).stats.rounds > 2
+        monkeypatch.setattr(solver_mod, "MAX_ROUNDS", 2)
+        with pytest.raises(RuntimeError, match="converge in 2 rounds"):
+            solve_lubt(topo, bounds, batch=1)
+        with pytest.raises(RuntimeError, match="converge in 2 rounds"):
+            diagnose_infeasibility(topo, bounds, batch=1)

@@ -61,6 +61,45 @@ class TestRecordRoundTrip:
         assert json.loads(text)
 
 
+    def test_resumes_a_record_with_retired_stats_keys(self, tmp_path):
+        """A record in the older field-by-field layout, which also wrote
+        the since-removed per-round ``round_lp_seconds``, still resumes."""
+        from repro.server.keys import instance_key
+
+        task = tasks_for()[0]
+        sol = solve_many([task])[0].unwrap()
+        st = sol.stats
+        record = {
+            "edge_lengths": [float(v) for v in sol.edge_lengths],
+            "cost": float(sol.cost),
+            "delays": [float(v) for v in sol.delays],
+            "stats": {
+                "backend": st.backend,
+                "mode": st.mode,
+                "rounds": st.rounds,
+                "steiner_rows": st.steiner_rows,
+                "total_pairs": st.total_pairs,
+                "lp_iterations": st.lp_iterations,
+                "wall_seconds": st.wall_seconds,
+                "lp_fallbacks": st.lp_fallbacks,
+                "lp_seconds": st.lp_seconds,
+                "round_lp_seconds": [st.lp_seconds],
+                "warm_rows": st.warm_rows,
+                "embed_seconds": st.embed_seconds,
+            },
+        }
+        path = tmp_path / "older.jsonl"
+        with SolveJournal(path) as j:
+            j.append(instance_key(task.topo, task.bounds, {}), record)
+        with SolveJournal(path) as j:
+            [out] = solve_many([task], journal=j)
+            assert j.replayed == 1 and j.appended == 0
+        back = out.unwrap()
+        assert back.cost == sol.cost
+        assert list(back.edge_lengths) == list(sol.edge_lengths)
+        assert back.stats == st
+
+
 class TestJournalFile:
     def test_append_then_load(self, tmp_path):
         path = tmp_path / "j.jsonl"

@@ -19,6 +19,7 @@ from repro import (
     solve_and_embed,
     solve_lubt,
 )
+from repro.ebf import seed_constraint_pairs
 from repro.ebf.bounds import radius_of
 from repro.geometry import manhattan
 from repro.resilience import (
@@ -212,3 +213,60 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "LP fallbacks" in out
+
+
+class TestSharedRowGeneration:
+    """The diagnosis runs the primal solve's row-generation loop."""
+
+    def _cases(self):
+        topo = instance()
+        r = radius_of(topo)
+        chain = chain_topology(
+            [Point(10.0, 0.0), Point(20.0, 0.0), Point(30.0, 0.0)],
+            source=Point(0.0, 0.0),
+        )
+        small = instance(n=6, seed=5)
+        other = instance(n=8, seed=1)
+        return [
+            (topo, DelayBounds.uniform(topo.num_sinks, 0.0, 0.6 * r), 33.2),
+            (topo, DelayBounds.uniform(topo.num_sinks, 0.9 * r, 1.2 * r), 0.0),
+            (
+                chain,
+                DelayBounds.per_sink(
+                    [(100.0, 200.0), (0.0, 200.0), (0.0, 40.0)]
+                ),
+                80.0,
+            ),
+            (small, DelayBounds.uniform(6, 0.0, 0.5 * radius_of(small)), 39.0),
+            (other, DelayBounds.uniform(8, 0.0, 0.55 * radius_of(other)), 49.6),
+        ]
+
+    @pytest.mark.parametrize("batch", [1, 4000])
+    def test_total_relaxation_unchanged(self, batch):
+        """Reference minimal total relaxations: the row order may change
+        which optimal vertex is returned, never the optimum."""
+        for topo, bounds, total in self._cases():
+            diag = diagnose_infeasibility(topo, bounds, batch=batch)
+            assert diag.total_slack == pytest.approx(total, rel=1e-12, abs=1e-12)
+
+    def test_batch_one_never_appends_a_pair_twice(self, monkeypatch):
+        import repro.ebf.solver as solver_mod
+        import repro.resilience.elastic as elastic_mod
+
+        added = []
+        real = solver_mod.add_steiner_rows
+
+        def recording(lp, topo, pairs):
+            added.extend((min(p[0], p[1]), max(p[0], p[1])) for p in pairs)
+            return real(lp, topo, pairs)
+
+        monkeypatch.setattr(solver_mod, "add_steiner_rows", recording)
+        monkeypatch.setattr(elastic_mod, "add_steiner_rows", recording)
+        topo = instance(n=40, seed=4, span=200)
+        r = radius_of(topo)
+        bounds = DelayBounds.uniform(40, 0.3 * r, 0.8 * r)
+        diag = diagnose_infeasibility(topo, bounds, batch=1)
+        assert diag.total_slack == pytest.approx(152.6, rel=1e-12)
+        # seeds first, then at least one row the loop found
+        assert len(added) > len(seed_constraint_pairs(topo))
+        assert len(added) == len(set(added))

@@ -170,14 +170,18 @@ class TestTotalFailure:
         assert "s down" in report.summary() and "h down" in report.summary()
 
     def test_raise_on_failure_false_returns_report(self):
+        """The error carries the full report (there is no report-returning
+        failure mode)."""
         solvers = faults.faulty_solvers({
             "simplex": [faults.ExceptionFault()],
             "scipy": [faults.ExceptionFault()],
         })
-        report = solve_lp_resilient(
-            small_lp(), ("simplex", "scipy"), solvers=solvers,
-            rescale_retry=False, raise_on_failure=False,
-        )
+        with pytest.raises(AllBackendsFailedError) as exc_info:
+            solve_lp_resilient(
+                small_lp(), ("simplex", "scipy"), solvers=solvers,
+                rescale_retry=False,
+            )
+        report = exc_info.value.report
         assert report.result is None
         assert report.num_attempts == 2
 
@@ -213,26 +217,6 @@ class TestRescaling:
         assert report.result.is_optimal
         assert [a.rescaled for a in report.attempts] == [False, True]
         assert report.result.objective == pytest.approx(2.0)
-
-
-class TestConfirmInfeasible:
-    def test_lying_infeasible_overridden_by_second_opinion(self):
-        solvers = faults.faulty_solvers(
-            {"simplex": [faults.WrongStatusFault(LpStatus.INFEASIBLE)]}
-        )
-        report = solve_lp_resilient(
-            small_lp(), ("simplex", "scipy"),
-            solvers=solvers, confirm_infeasible=True, rescale_retry=False,
-        )
-        assert report.result.is_optimal
-        assert report.attempts[0].outcome == AttemptOutcome.INFEASIBLE
-
-    def test_true_infeasible_confirmed(self):
-        report = solve_lp_resilient(
-            infeasible_lp(), ("simplex", "scipy"), confirm_infeasible=True
-        )
-        assert report.result.status is LpStatus.INFEASIBLE
-        assert report.num_attempts == 2  # both backends weighed in
 
 
 class TestLubtIntegration:
@@ -310,10 +294,10 @@ class TestCooperativeDeadlines:
         topo, bounds = synth_instance(64, 11)
         lp = build_ebf_lp(topo, bounds)  # full Steiner family: ~2k rows
         before = set(threading.enumerate())
-        report = solve_lp_resilient(
-            lp, ("scipy",), timeout=1e-6, raise_on_failure=False
-        )
+        with pytest.raises(AllBackendsFailedError) as exc_info:
+            solve_lp_resilient(lp, ("scipy",), timeout=1e-6)
         assert set(threading.enumerate()) == before
+        report = exc_info.value.report
         assert report.result is None
         [attempt] = report.attempts
         assert attempt.outcome == AttemptOutcome.TIMEOUT

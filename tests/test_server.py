@@ -28,7 +28,7 @@ from repro.data import (
     load_instance,
     save_instance,
 )
-from repro.ebf import DelayBounds, canonical_cost, solve_lubt
+from repro.ebf import DelayBounds, WarmStart, canonical_cost, solve_lubt
 from repro.geometry import Point, manhattan_radius_from
 from repro.server import (
     LruCache,
@@ -178,12 +178,23 @@ class TestWarmStore:
         assert s.absorb("h", [(3, 1, 0)]) == 0
         assert s.rows("h") == 2
 
-    def test_warm_for_seeds_a_warmstart(self):
+    def test_pairs_seed_a_warmstart(self):
         s = WarmStore()
         s.absorb("h", [(1, 2, 0)])
-        ws = s.warm_for("h")
+        ws = WarmStart.seeded("h", s.pairs("h"))
         assert ws.key == "h"
         assert ws.pairs == [(1, 2, 0)]
+
+    def test_pairs_is_a_snapshot(self):
+        s = WarmStore()
+        s.absorb("h", [(1, 2, 0)])
+        snap = s.pairs("h")
+        s.absorb("h", [(3, 4, 0)])
+        snap.append((5, 6, 0))
+        assert snap == [(1, 2, 0), (5, 6, 0)]
+        assert s.pairs("h") == [(1, 2, 0), (3, 4, 0)]
+        assert s.pairs("missing") == []
+        assert s.stats() == {"topologies": 1, "total_rows": 2, "absorbed": 2}
 
     def test_capacity_reset(self):
         s = WarmStore(max_topologies=2)
@@ -303,6 +314,28 @@ class TestSolveServer:
                 c.solve(topo, bounds, explode=True)
             # the connection survives the error
             assert c.ping()["event"] == "pong"
+
+    def test_round_cap_is_not_an_option(self, server):
+        topo, bounds, _ = instance(6)
+        with ServerClient(port=server.port) as c:
+            with pytest.raises(ServerError, match="max_rounds") as err:
+                c.request({
+                    "op": "solve",
+                    "instance": instance_to_dict(topo, bounds),
+                    "options": {"max_rounds": 5},
+                })
+        assert err.value.code == "bad-request"
+
+    def test_payload_stats_are_the_journal_record(self, server):
+        from repro.perf import solution_to_record
+
+        topo, bounds, _ = instance(5)
+        with ServerClient(port=server.port) as c:
+            served = c.solve(topo, bounds)["result"]
+        record = solution_to_record(solve_lubt(topo, bounds))
+        assert set(record) <= set(served)
+        assert set(served["stats"]) == set(record["stats"])
+        assert canonical_cost(served["cost"]) == canonical_cost(record["cost"])
 
     @pytest.mark.filterwarnings("ignore")  # BD002 warns on purpose here
     def test_infeasible_point_does_not_kill_sweep(self, server):
@@ -771,7 +804,7 @@ class TestConcurrencySoak:
             # the topology whose hash keys it.
             store = handle.server.warm
             hash_a, hash_b = topology_hash(topo_a), topology_hash(topo_b)
-            assert set(store._rows) <= {hash_a, hash_b}
+            assert set(store._warm) <= {hash_a, hash_b}
             for tkey, topo in ((hash_a, topo_a), (hash_b, topo_b)):
                 n = topo.num_nodes
                 for i, j, k in store.pairs(tkey):
