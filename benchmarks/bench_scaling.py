@@ -202,8 +202,10 @@ def test_tree_tier_xl():
     """The chip-scale 10k-sink solve, tree backend only; records the
     point into the committed tree_tier and gates that one LUBT at 10k
     sinks stays under a minute on this class of machine.  Uses the
-    H-tree builder — the O(m^2) nearest-neighbor merge would take
-    minutes just to *construct* a 10k-sink topology."""
+    H-tree builder, which the committed point was recorded with; the
+    nearest-neighbor merge would also do now (O(m^2) time, O(m) memory:
+    under 3 s to build a 10k-sink topology on a 2-vCPU VM), but
+    switching would move the recorded point."""
     topo, bounds = synth_instance(TREE_XL_SINKS, 1996, topology="htree")
     sol, seconds = _timed_solve(topo, bounds, "tree")
     record = {

@@ -22,6 +22,12 @@ generic backend by ``--tree-factor`` (default 2x — deliberately far
 below the >= 10x recorded in ``BENCH_scaling.json``'s ``tree_tier``, to
 absorb CI-runner noise) with canonically identical cost.
 
+A topology gate rides along too: ``nearest_neighbor_topology`` at 4096
+sinks may take at most 16x its time at 1024 -- the ratio of a quadratic
+build, which the cached-partner merge reads at about 7-8x and the old
+dense-argmin merge read at about 180x.  A ratio, not a wall time, so it
+holds on slow runners; it takes under a second.
+
 No pytest / pytest-benchmark needed — plain stdlib + repro, so the CI
 job installs numpy and scipy only:
 
@@ -32,13 +38,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from pathlib import Path
 
 from repro.data import load_benchmark
 from repro.ebf import DelayBounds, canonical_cost, solve_lubt, solve_sweep
-from repro.geometry import manhattan_radius_from
+from repro.geometry import Point, manhattan_radius_from
 from repro.perf import SolveTask, WorkerPool, solve_many
 from repro.topology import nearest_neighbor_topology
 
@@ -48,6 +55,11 @@ REPO_ROOT = Path(__file__).parent.parent
 SWEEP_WIDTHS = (0.1, 0.5)
 SWEEP_LOWERS = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.25, 0.0)
 SWEEP_SINKS = 64
+
+#: The topology scaling gate: t(4096) / t(1024) of the nn builder must
+#: not exceed 16, the ratio of an O(m^2) build at 4x the sinks.
+TOPOLOGY_SINKS = (1024, 4096)
+TOPOLOGY_MAX_RATIO = 16.0
 
 
 def _instance(size: int) -> SolveTask:
@@ -247,6 +259,36 @@ def check_tree(sinks: int, factor: float) -> list[str]:
     return failures
 
 
+def check_topology() -> list[str]:
+    """nn-topology scaling gate: best-of timings at 1024 and 4096 seeded
+    random sinks, failing when the ratio exceeds ``TOPOLOGY_MAX_RATIO``."""
+    def _best(m: int, repeats: int) -> float:
+        rng = random.Random(m)
+        sinks = [Point(rng.uniform(0, 1e4), rng.uniform(0, 1e4)) for _ in range(m)]
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            nearest_neighbor_topology(sinks)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    small, large = TOPOLOGY_SINKS
+    t_small, t_large = _best(small, 3), _best(large, 2)
+    ratio = t_large / t_small if t_small > 0 else float("inf")
+    ok = ratio <= TOPOLOGY_MAX_RATIO
+    print(
+        f"nn topology: {small} sinks {t_small:.3f}s, {large} sinks "
+        f"{t_large:.3f}s, ratio {ratio:.1f}x "
+        + ("ok" if ok else f"REGRESSED (> {TOPOLOGY_MAX_RATIO:g}x)")
+    )
+    if ok:
+        return []
+    return [
+        f"nn topology {large}/{small} sinks time ratio {ratio:.1f}x > "
+        f"{TOPOLOGY_MAX_RATIO:g}x ({t_small:.3f}s -> {t_large:.3f}s)"
+    ]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sizes", default="16,32,64",
@@ -280,6 +322,7 @@ def main(argv=None) -> int:
 
     failures = check_timings(sizes, args.baseline, args.factor, args.repeats)
     failures += check_pool(sizes, args.jobs)
+    failures += check_topology()
     if not args.skip_sweep:
         failures += check_sweep(args.sweep_factor, args.repeats, args.sweep_out)
     if not args.skip_tree:

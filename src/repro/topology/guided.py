@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.geometry import Point, manhattan_diameter, manhattan_radius_from
-from repro.topology.builders import binary_merge_tree
+from repro.topology.builders import agglomerative_merge_order, binary_merge_tree
 from repro.topology.tree import Topology
 
 if TYPE_CHECKING:  # avoid a circular import with repro.ebf at runtime
@@ -86,35 +86,27 @@ def _guided_merge(
         from repro.topology.builders import nearest_neighbor_topology
 
         return nearest_neighbor_topology(sinks, source)
-    m = len(sinks)
+    merges = _guided_merge_order(sinks, lam)
+    topo, _ = binary_merge_tree(sinks, merges, source)
+    return topo
+
+
+def _guided_merge_order(sinks: list[Point], lam: float) -> list[tuple[int, int]]:
+    """Merge order under the cost ``dist(a, b) + lam * |h_a - h_b|``, on
+    the shared cached-partner loop (O(m) memory)."""
     us = np.array([p.u for p in sinks], dtype=float)
     vs = np.array([p.v for p in sinks], dtype=float)
-    heights = np.zeros(m)
-    active = np.ones(m, dtype=bool)
-    token_of_slot = list(range(m))
-    next_token = m
-    merges: list[tuple[int, int]] = []
+    heights = np.zeros(len(sinks))
 
-    # Incrementally maintained cost matrix: O(m) update per merge.
-    cost = np.maximum(
-        np.abs(us[:, None] - us[None, :]), np.abs(vs[:, None] - vs[None, :])
-    )
-    np.fill_diagonal(cost, np.inf)
+    def cost(rows: int | slice) -> np.ndarray:
+        c = np.maximum(np.abs(us[rows, None] - us), np.abs(vs[rows, None] - vs))
+        c += lam * np.abs(heights[rows, None] - heights)
+        return c
 
-    def refresh_row(a: int) -> None:
-        row = np.maximum(np.abs(us - us[a]), np.abs(vs - vs[a]))
-        row += lam * np.abs(heights - heights[a])
-        row[~active] = np.inf
-        row[a] = np.inf
-        cost[a, :] = row
-        cost[:, a] = row
-
-    for _ in range(m - 1):
-        a, b = divmod(int(np.argmin(cost)), m)
-        d = max(abs(us[a] - us[b]), abs(vs[a] - vs[b]))
-        merges.append((token_of_slot[a], token_of_slot[b]))
+    def merge(a: int, b: int) -> None:
         # Merged representative: the (height-weighted) balance point, and
         # the ZST-merge height estimate.
+        d = max(abs(us[a] - us[b]), abs(vs[a] - vs[b]))
         h_a, h_b = heights[a], heights[b]
         if abs(h_a - h_b) <= d:
             t = (d + h_b - h_a) / (2.0 * d) if d > 0 else 0.5
@@ -123,12 +115,5 @@ def _guided_merge(
         us[a] = us[a] * (1 - t) + us[b] * t
         vs[a] = vs[a] * (1 - t) + vs[b] * t
         heights[a] = max(h_a, h_b, (d + h_a + h_b) / 2.0)
-        token_of_slot[a] = next_token
-        next_token += 1
-        active[b] = False
-        cost[b, :] = np.inf
-        cost[:, b] = np.inf
-        refresh_row(a)
 
-    topo, _ = binary_merge_tree(sinks, merges, source)
-    return topo
+    return agglomerative_merge_order(len(sinks), cost, merge)

@@ -1,7 +1,12 @@
 """Tests for topology generators, splitting, and validation."""
 
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point
@@ -9,12 +14,14 @@ from repro.topology import (
     TopologyError,
     all_sinks_are_leaves,
     balanced_bipartition_topology,
+    binary_merge_tree,
     chain_topology,
     nearest_neighbor_topology,
     split_high_degree_steiner,
     star_topology,
     validate_topology,
 )
+from repro.topology import builders
 
 coords = st.integers(min_value=0, max_value=1000)
 point_lists = st.lists(
@@ -26,6 +33,88 @@ point_lists = st.lists(
 
 def grid_points(k):
     return [Point(i % k, i // k) for i in range(k * k)]
+
+
+def dense_merge_order(sinks):
+    """Reference oracle: the dense m x m distance matrix with a full
+    ``argmin`` per merge -- the loop the cached-partner merge replaced,
+    kept verbatim so every merge sequence is checked against it."""
+    m = len(sinks)
+    reps_u = np.array([p.u for p in sinks], dtype=float)
+    reps_v = np.array([p.v for p in sinks], dtype=float)
+    # Chebyshev distance in (u, v) == Manhattan distance in (x, y).
+    dist = np.maximum(
+        np.abs(reps_u[:, None] - reps_u[None, :]),
+        np.abs(reps_v[:, None] - reps_v[None, :]),
+    )
+    np.fill_diagonal(dist, np.inf)
+
+    # slot -> current cluster token occupying that matrix row/column
+    token_of_slot = list(range(m))
+    active = np.ones(m, dtype=bool)
+    merges: list[tuple[int, int]] = []
+    next_token = m
+
+    for _ in range(m - 1):
+        flat = np.argmin(dist)
+        a, b = divmod(int(flat), m)
+        merges.append((token_of_slot[a], token_of_slot[b]))
+        # Merge b into a's slot: representative is the midpoint.
+        reps_u[a] = (reps_u[a] + reps_u[b]) / 2.0
+        reps_v[a] = (reps_v[a] + reps_v[b]) / 2.0
+        token_of_slot[a] = next_token
+        next_token += 1
+        active[b] = False
+        dist[b, :] = np.inf
+        dist[:, b] = np.inf
+        d_new = np.maximum(
+            np.abs(reps_u - reps_u[a]), np.abs(reps_v - reps_v[a])
+        )
+        d_new[~active] = np.inf
+        d_new[a] = np.inf
+        dist[a, :] = d_new
+        dist[:, a] = d_new
+    return merges
+
+
+# Sink sets rich in ties: duplicates, collinear and diagonal runs, small
+# integer grids, the smallest sizes, general floats, and NaN locations.
+_few = st.sampled_from([Point(0, 0), Point(3, 1), Point(3, 1), Point(1, 3), Point(2, 2)])
+tie_heavy_sinks = st.one_of(
+    st.lists(_few, min_size=1, max_size=30),
+    st.lists(st.integers(0, 12), min_size=1, max_size=30).map(
+        lambda ts: [Point(t, 0) for t in ts]
+    ),
+    st.lists(st.integers(-8, 8), min_size=1, max_size=30).map(
+        lambda ts: [Point(t, t) for t in ts]
+    ),
+    st.lists(
+        st.builds(Point, st.integers(0, 4), st.integers(0, 4)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.lists(
+        st.builds(Point, st.integers(0, 3), st.integers(0, 3)),
+        min_size=3,
+        max_size=12,
+    ),
+    st.lists(st.builds(Point, coords, coords), min_size=1, max_size=3),
+    point_lists,
+    # NaN locations (a broken pin file): ``argmin`` takes the first NaN.
+    st.lists(
+        st.one_of(
+            st.builds(Point, st.integers(0, 4), st.integers(0, 4)),
+            st.sampled_from([Point(math.nan, math.nan), Point(math.nan, 1)]),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+
+#: Cache budgets that put the same inputs on both sides of the small-m
+#: cut: the default keeps the whole matrix up to 256 sinks; 8 and 1 force
+#: the cached-partner loop with multi-row and single-row cache blocks.
+BLOCKS = [builders._BLOCK, 8, 1]
 
 
 class TestNearestNeighbor:
@@ -82,6 +171,60 @@ class TestNearestNeighbor:
     def test_zero_sinks_raises(self):
         with pytest.raises(ValueError):
             nearest_neighbor_topology([])
+
+
+def _parents(t):
+    return [t.parent(i) for i in range(t.num_nodes)]
+
+
+class TestNearestNeighborParity:
+    """The cached-partner merge reproduces the dense-argmin merge order
+    bit for bit, ties included."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @given(tie_heavy_sinks, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    # A merge makes slot 0 equidistant to the moved slot 1 and to slot 2:
+    # the cache must take the lower slot on that tie.
+    @example([Point(2, 0), Point(1, 3), Point(3, 3), Point(0, 1)], False)
+    def test_same_merges_as_dense_oracle(self, block, sinks, fixed):
+        expected = dense_merge_order(sinks)
+        with mock.patch.object(builders, "_BLOCK", block):
+            assert builders._nearest_neighbor_merge_order(sinks) == expected
+            source = Point(2, 2) if fixed else None
+            got = nearest_neighbor_topology(sinks, source)
+        if len(sinks) > 1:
+            want, _ = binary_merge_tree(sinks, expected, source)
+            assert _parents(got) == _parents(want)
+
+    @pytest.mark.parametrize(
+        "sinks",
+        [
+            [Point(float(x), float(y))
+             for x, y in np.random.default_rng(5).uniform(0, 1000, (600, 2))],
+            [Point(i % 23, i // 23) for i in range(700)],  # grid, 700 > 256
+            [Point(x, y)
+             for x, y in np.random.default_rng(6).integers(0, 12, (400, 2))],
+        ],
+        ids=["uniform-600", "grid-700", "duplicates-400"],
+    )
+    def test_same_merges_above_the_cut(self, sinks):
+        assert len(sinks) ** 2 > builders._BLOCK
+        assert builders._nearest_neighbor_merge_order(sinks) == dense_merge_order(sinks)
+
+    def test_memory_is_linear(self):
+        """2048 distinct sinks build in well under the 32 MB one dense
+        float64 distance matrix takes (the dense loop peaked near 100 MB)."""
+        rng = np.random.default_rng(2048)
+        cells = rng.choice(1_000_000, size=2048, replace=False)
+        sinks = [Point(float(c % 1000), float(c // 1000)) for c in cells]
+        tracemalloc.start()
+        try:
+            nearest_neighbor_topology(sinks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestBalancedBipartition:

@@ -1,5 +1,7 @@
 """Tests for the bounds-guided topology generator (Section 9 future work)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,92 @@ from repro.topology import (
     nearest_neighbor_topology,
     validate_topology,
 )
+from repro.topology import builders, guided
+from tests.test_topology_builders import BLOCKS, tie_heavy_sinks
 
 
 def random_sinks(m, seed, span=100):
     rng = np.random.default_rng(seed)
     return [Point(float(x), float(y)) for x, y in rng.integers(0, span, (m, 2))]
+
+
+def dense_guided_merge_order(sinks, lam):
+    """Reference oracle: the dense-cost-matrix loop the shared
+    cached-partner merge replaced, kept verbatim (returning the merge
+    order instead of the topology)."""
+    m = len(sinks)
+    us = np.array([p.u for p in sinks], dtype=float)
+    vs = np.array([p.v for p in sinks], dtype=float)
+    heights = np.zeros(m)
+    active = np.ones(m, dtype=bool)
+    token_of_slot = list(range(m))
+    next_token = m
+    merges: list[tuple[int, int]] = []
+
+    # Incrementally maintained cost matrix: O(m) update per merge.
+    cost = np.maximum(
+        np.abs(us[:, None] - us[None, :]), np.abs(vs[:, None] - vs[None, :])
+    )
+    np.fill_diagonal(cost, np.inf)
+
+    def refresh_row(a: int) -> None:
+        row = np.maximum(np.abs(us - us[a]), np.abs(vs - vs[a]))
+        row += lam * np.abs(heights - heights[a])
+        row[~active] = np.inf
+        row[a] = np.inf
+        cost[a, :] = row
+        cost[:, a] = row
+
+    for _ in range(m - 1):
+        a, b = divmod(int(np.argmin(cost)), m)
+        d = max(abs(us[a] - us[b]), abs(vs[a] - vs[b]))
+        merges.append((token_of_slot[a], token_of_slot[b]))
+        # Merged representative: the (height-weighted) balance point, and
+        # the ZST-merge height estimate.
+        h_a, h_b = heights[a], heights[b]
+        if abs(h_a - h_b) <= d:
+            t = (d + h_b - h_a) / (2.0 * d) if d > 0 else 0.5
+        else:
+            t = 0.0 if h_a > h_b else 1.0
+        us[a] = us[a] * (1 - t) + us[b] * t
+        vs[a] = vs[a] * (1 - t) + vs[b] * t
+        heights[a] = max(h_a, h_b, (d + h_a + h_b) / 2.0)
+        token_of_slot[a] = next_token
+        next_token += 1
+        active[b] = False
+        cost[b, :] = np.inf
+        cost[:, b] = np.inf
+        refresh_row(a)
+
+    return merges
+
+
+class TestParity:
+    """The guided generator runs on the shared cached-partner loop and
+    reproduces the dense-matrix merge order bit for bit."""
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @given(tie_heavy_sinks, st.floats(0.0, 10.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_same_merges_as_dense_oracle(self, block, sinks, lam, fixed):
+        expected = dense_guided_merge_order(sinks, lam)
+        with mock.patch.object(builders, "_BLOCK", block):
+            assert guided._guided_merge_order(sinks, lam) == expected
+            if len(sinks) > 1 and lam > 0.0:
+                source = Point(2, 2) if fixed else None
+                got = balance_aware_topology(sinks, source, balance_weight=lam)
+                want, _ = builders.binary_merge_tree(sinks, expected, source)
+                assert [got.parent(i) for i in range(got.num_nodes)] == [
+                    want.parent(i) for i in range(want.num_nodes)
+                ]
+
+    def test_same_merges_above_the_cut(self):
+        sinks = random_sinks(500, 9, span=60)  # duplicates and ties
+        assert len(sinks) ** 2 > builders._BLOCK
+        for lam in (0.25, 1.0):
+            assert guided._guided_merge_order(sinks, lam) == (
+                dense_guided_merge_order(sinks, lam)
+            )
 
 
 class TestStructure:
